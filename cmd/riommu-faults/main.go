@@ -63,6 +63,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -129,6 +130,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// Every list flag is parsed before anything runs; the first bad value
+	// is a usage error naming its flag.
+	var usage error
+	check := func(flag string, err error) {
+		if err != nil && usage == nil {
+			usage = fmt.Errorf("-%s: %w", flag, err)
+		}
+	}
+	ms, err := campaign.ParseModes(*modes)
+	check("modes", err)
+	rs, err := campaign.ParseRates(*rates)
+	check("rates", err)
+	cores, err := campaign.ParseCores(*coresArg)
+	check("cores", err)
+	tenants, err := campaign.ParseTenants(*tenArg)
+	check("tenants", err)
+	churn, err := campaign.ParseChurn(*churnArg)
+	check("churn", err)
+	scenarios, err := chaos.ParseList(*chaosArg, chaos.Scenarios())
+	check("chaos", err)
+	intScenarios, err := chaos.ParseList(*intArg, chaos.IntScenarios())
+	check("intchaos", err)
+	plugScenarios, err := chaos.ParseList(*plugArg, campaign.HotplugScenarios())
+	check("hotplug", err)
+	tenantScenarios, err := chaos.ParseList(*tchArg, chaos.TenantScenarios())
+	check("tenantchaos", err)
+	if len(tenantScenarios) > 0 && len(tenants) == 0 {
+		check("tenantchaos", errors.New("requires -tenants"))
+	}
+	shardIdx, shardCount, err := parallel.ParseShard(*shardArg)
+	check("shard", err)
+	if usage != nil {
+		fmt.Fprintln(stderr, "riommu-faults:", usage)
+		return 2
+	}
+	// Hostile and hot-plug cells are meaningless without the oracle.
+	if len(scenarios) > 0 || len(intScenarios) > 0 || len(plugScenarios) > 0 {
+		*auditOn = true
+	}
+
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(stderr, "riommu-faults:", err)
@@ -142,78 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	ms, err := campaign.ParseModes(*modes)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
-	rs, err := campaign.ParseRates(*rates)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
-	var scenarios []chaos.Scenario
-	if *chaosArg != "" {
-		scenarios, err = chaos.Parse(*chaosArg)
-		if err != nil {
-			fmt.Fprintln(stderr, "riommu-faults:", err)
-			return 2
-		}
-		*auditOn = true // hostile cells are meaningless without the oracle
-	}
-	cores, err := campaign.ParseCores(*coresArg)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
-	var intScenarios []chaos.IntScenario
-	if *intArg != "" {
-		intScenarios, err = chaos.ParseInt(*intArg)
-		if err != nil {
-			fmt.Fprintln(stderr, "riommu-faults:", err)
-			return 2
-		}
-		*auditOn = true
-	}
-	var plugScenarios []string
-	if *plugArg != "" {
-		plugScenarios, err = campaign.ParseHotplug(*plugArg)
-		if err != nil {
-			fmt.Fprintln(stderr, "riommu-faults:", err)
-			return 2
-		}
-		*auditOn = true
-	}
-
-	tenants, err := campaign.ParseTenants(*tenArg)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
-	var tenantScenarios []chaos.TenantScenario
-	if *tchArg != "" {
-		if len(tenants) == 0 {
-			fmt.Fprintln(stderr, "riommu-faults: -tenantchaos requires -tenants")
-			return 2
-		}
-		tenantScenarios, err = chaos.ParseTenant(*tchArg)
-		if err != nil {
-			fmt.Fprintln(stderr, "riommu-faults:", err)
-			return 2
-		}
-	}
-
-	churn, err := campaign.ParseChurn(*churnArg)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
-
-	shardIdx, shardCount, err := campaign.ParseShard(*shardArg)
-	if err != nil {
-		fmt.Fprintln(stderr, "riommu-faults:", err)
-		return 2
-	}
 	var ckptPath string
 	var mergePaths []string
 	if *ckptArg != "" {
@@ -247,13 +216,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Merge:       mergePaths,
 	}
 	res, err := campaign.Run(opts)
-	if parallel.Interrupted() {
-		done := 0
-		for i := range res.Keys {
-			if res.Completed[i] {
-				done++
-			}
+	done := 0
+	for _, ok := range res.Completed {
+		if ok {
+			done++
 		}
+	}
+	if parallel.Interrupted() {
 		fmt.Fprintf(stderr, "riommu-faults: interrupted — %d of %d cells completed\n", done, len(res.Keys))
 		if ckptPath != "" {
 			fmt.Fprintf(stderr, "riommu-faults: completed cells saved; rerun with -checkpoint %s to resume\n", ckptPath)
@@ -274,12 +243,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !res.Complete() {
 		// A shard finished its slice but the checkpoint does not yet cover
 		// the grid: report/gates wait for the run that completes it.
-		done := 0
-		for i := range res.Keys {
-			if res.Completed[i] {
-				done++
-			}
-		}
 		fmt.Fprintf(stderr, "riommu-faults: shard %d/%d done — %d of %d cells in %s\n",
 			shardIdx, shardCount, done, len(res.Keys), ckptPath)
 		return 0
@@ -297,35 +260,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "riommu-faults: wrote %s\n", *jsonOut)
 	}
 
-	if *auditOn {
-		if fails := res.AuditViolationsGate(); len(fails) != 0 {
-			for _, f := range fails {
-				fmt.Fprintln(stderr, "riommu-faults: isolation gate:", f)
-			}
-			fmt.Fprintf(stderr, "riommu-faults: isolation gate failed (%d violation(s))\n", len(fails))
+	for _, g := range []struct {
+		name string
+		on   bool
+		run  func() []string
+	}{
+		{"isolation", *auditOn, res.AuditViolationsGate},
+		{"interrupt", len(intScenarios) > 0 || len(plugScenarios) > 0, res.IntremapViolationsGate},
+		{"cross-tenant", len(tenants) > 0, res.CrossTenantViolationsGate},
+	} {
+		if !g.on {
+			continue
+		}
+		fails := g.run()
+		for _, f := range fails {
+			fmt.Fprintf(stderr, "riommu-faults: %s gate: %s\n", g.name, f)
+		}
+		if len(fails) != 0 {
+			fmt.Fprintf(stderr, "riommu-faults: %s gate failed (%d violation(s))\n", g.name, len(fails))
 			return 1
 		}
-		fmt.Fprintln(stderr, "riommu-faults: isolation gate passed")
-	}
-	if len(intScenarios) > 0 || len(plugScenarios) > 0 {
-		if fails := res.IntremapViolationsGate(); len(fails) != 0 {
-			for _, f := range fails {
-				fmt.Fprintln(stderr, "riommu-faults: interrupt gate:", f)
-			}
-			fmt.Fprintf(stderr, "riommu-faults: interrupt gate failed (%d violation(s))\n", len(fails))
-			return 1
-		}
-		fmt.Fprintln(stderr, "riommu-faults: interrupt gate passed")
-	}
-	if len(tenants) > 0 {
-		if fails := res.CrossTenantViolationsGate(); len(fails) != 0 {
-			for _, f := range fails {
-				fmt.Fprintln(stderr, "riommu-faults: cross-tenant gate:", f)
-			}
-			fmt.Fprintf(stderr, "riommu-faults: cross-tenant gate failed (%d violation(s))\n", len(fails))
-			return 1
-		}
-		fmt.Fprintln(stderr, "riommu-faults: cross-tenant gate passed")
+		fmt.Fprintf(stderr, "riommu-faults: %s gate passed\n", g.name)
 	}
 	return 0
 }

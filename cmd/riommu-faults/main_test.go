@@ -213,17 +213,34 @@ func TestShardedGridRenders(t *testing.T) {
 	}
 }
 
-// TestBadChaosFlag: unknown scenarios are a usage error.
+// TestBadChaosFlag: a bad value in any list flag is a usage error (exit 2)
+// that names the flag and the offending value on stderr, and runs nothing.
 func TestBadChaosFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-chaos", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if code := run([]string{"-intchaos", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("-intchaos nonsense: exit %d, want 2", code)
-	}
-	if code := run([]string{"-hotplug", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("-hotplug nonsense: exit %d, want 2", code)
+	for _, tc := range []struct{ flag, value string }{
+		{"rates", "NaN"},
+		{"modes", "defer"},
+		{"cores", "1"},
+		{"tenants", "1"},
+		{"churn", "0"},
+		{"chaos", "nonsense"},
+		{"intchaos", "nonsense"},
+		{"hotplug", "nonsense"},
+		{"tenantchaos", "nope"},
+		{"shard", "4/4"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run([]string{"-" + tc.flag, tc.value}, &out, &errb); code != 2 {
+				t.Fatalf("-%s %s: exit %d, want 2\nstderr:\n%s", tc.flag, tc.value, code, errb.String())
+			}
+			msg := errb.String()
+			if !strings.Contains(msg, "-"+tc.flag+":") || !strings.Contains(msg, tc.value) {
+				t.Errorf("-%s %s: stderr does not name the flag and value:\n%s", tc.flag, tc.value, msg)
+			}
+			if out.Len() != 0 {
+				t.Errorf("-%s %s: usage error wrote to stdout:\n%s", tc.flag, tc.value, out.String())
+			}
+		})
 	}
 }
 

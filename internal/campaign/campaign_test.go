@@ -474,15 +474,15 @@ func TestIntremapGateCatches(t *testing.T) {
 }
 
 func TestParseHotplug(t *testing.T) {
-	all, err := ParseHotplug("all")
+	all, err := chaos.ParseList("all", HotplugScenarios())
 	if err != nil || len(all) != 3 {
 		t.Fatalf("all: %v %v", all, err)
 	}
-	one, err := ParseHotplug(" surprise-remove ")
+	one, err := chaos.ParseList(" surprise-remove ", HotplugScenarios())
 	if err != nil || len(one) != 1 || one[0] != HotplugSurprise {
 		t.Fatalf("single: %v %v", one, err)
 	}
-	if _, err := ParseHotplug("nope"); err == nil {
+	if _, err := chaos.ParseList("nope", HotplugScenarios()); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
@@ -513,6 +513,9 @@ func TestParseRates(t *testing.T) {
 	}
 	if _, err := ParseRates("1.5"); err == nil {
 		t.Error("rate > 1 accepted")
+	}
+	if _, err := ParseRates("NaN"); err == nil {
+		t.Error("NaN rate accepted")
 	}
 	if _, err := ParseRates("x"); err == nil {
 		t.Error("non-numeric rate accepted")

@@ -139,10 +139,7 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 	}
 	overreachBase := uint64(tenantGuestPages) << mem.PageShift
 
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
+	payload := nicPayload()
 	for round := 0; round < rounds; round++ {
 		for _, g := range gs {
 			mq := g.mq
@@ -210,10 +207,7 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 				c.ByReason[r] += orc.ByReason[r]
 			}
 		}
-		for q := 0; q < len(g.mq.Queues); q++ {
-			nic := g.mq.NIC(q)
-			pkts += nic.TxPackets + nic.RxPackets
-		}
+		pkts += mqPackets(g.mq)
 		cyc += g.sys.CPU.Now()
 		c.RecoveryCycles += g.sys.CPU.Total(cycles.Recovery)
 	}

@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"riommu/internal/audit"
@@ -50,28 +51,30 @@ func Scenarios() []Scenario {
 	return []Scenario{StaleReplay, Overreach, ROWrite, InvFlood, Cascade}
 }
 
-// Parse parses a comma-separated scenario list; "all" selects every scenario.
-func Parse(s string) ([]Scenario, error) {
+// ParseList parses a comma-separated list of scenario names drawn from all,
+// the canonical list of one scenario kind (Scenarios, IntScenarios,
+// TenantScenarios, or any other). "all" selects the whole list in canonical
+// order; blank input selects none.
+func ParseList[T ~string](s string, all []T) ([]T, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
 	if strings.TrimSpace(s) == "all" {
-		return Scenarios(), nil
+		return all, nil
 	}
-	known := make(map[Scenario]bool)
-	for _, sc := range Scenarios() {
-		known[sc] = true
-	}
-	var out []Scenario
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		sc := Scenario(strings.TrimSpace(part))
+		sc := T(strings.TrimSpace(part))
 		if sc == "" {
 			continue
 		}
-		if !known[sc] {
-			return nil, fmt.Errorf("chaos: unknown scenario %q", sc)
+		if !slices.Contains(all, sc) {
+			return nil, fmt.Errorf("unknown scenario %q (want all, or some of %v)", sc, all)
 		}
 		out = append(out, sc)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: empty scenario list")
+		return nil, fmt.Errorf("empty scenario list %q", s)
 	}
 	return out, nil
 }

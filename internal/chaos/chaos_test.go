@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"riommu/internal/audit"
@@ -136,18 +137,22 @@ func TestHostileDeterministic(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	all, err := Parse("all")
+	all, err := ParseList("all", Scenarios())
 	if err != nil || len(all) != len(Scenarios()) {
-		t.Fatalf("Parse(all) = %v, %v", all, err)
+		t.Fatalf("ParseList(all) = %v, %v", all, err)
 	}
-	two, err := Parse(" stale-replay, overreach ")
+	two, err := ParseList(" stale-replay, overreach ", Scenarios())
 	if err != nil || len(two) != 2 || two[0] != StaleReplay || two[1] != Overreach {
-		t.Fatalf("Parse(csv) = %v, %v", two, err)
+		t.Fatalf("ParseList(csv) = %v, %v", two, err)
 	}
-	if _, err := Parse("nonsense"); err == nil {
-		t.Error("Parse accepted an unknown scenario")
+	if _, err := ParseList("nonsense", Scenarios()); err == nil || !strings.Contains(err.Error(), `"nonsense"`) {
+		t.Errorf("ParseList accepted an unknown scenario, or did not name it: %v", err)
 	}
-	if _, err := Parse(""); err == nil {
-		t.Error("Parse accepted an empty list")
+	if _, err := ParseList(" , ", Scenarios()); err == nil {
+		t.Error("ParseList accepted a list of empty names")
+	}
+	// A blank flag selects no scenarios, like the integer axis lists.
+	if none, err := ParseList(" ", Scenarios()); err != nil || none != nil {
+		t.Errorf("ParseList(blank) = %v, %v; want nil, nil", none, err)
 	}
 }

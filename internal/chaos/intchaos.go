@@ -1,9 +1,6 @@
 package chaos
 
 import (
-	"fmt"
-	"strings"
-
 	"riommu/internal/audit"
 	"riommu/internal/intremap"
 	"riommu/internal/pci"
@@ -34,33 +31,6 @@ const (
 // IntScenarios returns every interrupt scenario in canonical order.
 func IntScenarios() []IntScenario {
 	return []IntScenario{VectorStorm, SpoofBDF, IRTEReplay}
-}
-
-// ParseInt parses a comma-separated interrupt-scenario list; "all" selects
-// every scenario.
-func ParseInt(s string) ([]IntScenario, error) {
-	if strings.TrimSpace(s) == "all" {
-		return IntScenarios(), nil
-	}
-	known := make(map[IntScenario]bool)
-	for _, sc := range IntScenarios() {
-		known[sc] = true
-	}
-	var out []IntScenario
-	for _, part := range strings.Split(s, ",") {
-		sc := IntScenario(strings.TrimSpace(part))
-		if sc == "" {
-			continue
-		}
-		if !known[sc] {
-			return nil, fmt.Errorf("chaos: unknown interrupt scenario %q", sc)
-		}
-		out = append(out, sc)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: empty interrupt scenario list")
-	}
-	return out, nil
 }
 
 // IntHostile is a hostile device injecting interrupt messages through the

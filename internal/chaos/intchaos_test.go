@@ -25,18 +25,21 @@ func intFixture(t *testing.T, deferred bool) (*intremap.Remapper, *audit.IntOrac
 }
 
 func TestParseIntScenarios(t *testing.T) {
-	all, err := ParseInt("all")
+	all, err := ParseList("all", IntScenarios())
 	if err != nil || len(all) != len(IntScenarios()) {
 		t.Fatalf("all: %v %v", all, err)
 	}
-	one, err := ParseInt(" spoof-bdf ,vector-storm")
+	one, err := ParseList(" spoof-bdf ,vector-storm", IntScenarios())
 	if err != nil || len(one) != 2 || one[0] != SpoofBDF {
 		t.Fatalf("list: %v %v", one, err)
 	}
-	if _, err := ParseInt("nope"); err == nil {
+	if _, err := ParseList("nope", IntScenarios()); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := ParseInt(" , "); err == nil {
+	if _, err := ParseList("stale-replay", IntScenarios()); err == nil {
+		t.Fatal("a DMA scenario accepted as an interrupt scenario")
+	}
+	if _, err := ParseList(" , ", IntScenarios()); err == nil {
 		t.Fatal("empty list accepted")
 	}
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"riommu/internal/dma"
 	"riommu/internal/driver"
@@ -37,33 +36,6 @@ const (
 // TenantScenarios returns every hostile-tenant scenario in canonical order.
 func TenantScenarios() []TenantScenario {
 	return []TenantScenario{S2StaleReplay, GPAOverreach, BDFSpoof, S2InvFlood}
-}
-
-// ParseTenant parses a comma-separated hostile-tenant scenario list; "all"
-// selects every scenario.
-func ParseTenant(s string) ([]TenantScenario, error) {
-	if strings.TrimSpace(s) == "all" {
-		return TenantScenarios(), nil
-	}
-	known := make(map[TenantScenario]bool)
-	for _, sc := range TenantScenarios() {
-		known[sc] = true
-	}
-	var out []TenantScenario
-	for _, part := range strings.Split(s, ",") {
-		sc := TenantScenario(strings.TrimSpace(part))
-		if sc == "" {
-			continue
-		}
-		if !known[sc] {
-			return nil, fmt.Errorf("chaos: unknown tenant scenario %q", sc)
-		}
-		out = append(out, sc)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: empty tenant scenario list")
-	}
-	return out, nil
 }
 
 // ErrAttackContained is returned by attack rounds whose every probe the

@@ -12,17 +12,17 @@ import (
 )
 
 func TestParseTenantScenarios(t *testing.T) {
-	all, err := ParseTenant("all")
+	all, err := ParseList("all", TenantScenarios())
 	if err != nil || !reflect.DeepEqual(all, TenantScenarios()) {
-		t.Fatalf("ParseTenant(all) = %v, %v", all, err)
+		t.Fatalf("ParseList(all) = %v, %v", all, err)
 	}
-	got, err := ParseTenant(" bdf-spoof , s2-inv-flood ")
+	got, err := ParseList(" bdf-spoof , s2-inv-flood ", TenantScenarios())
 	if err != nil || !reflect.DeepEqual(got, []TenantScenario{BDFSpoof, S2InvFlood}) {
-		t.Fatalf("ParseTenant list = %v, %v", got, err)
+		t.Fatalf("ParseList list = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "nope", "s2-stale-replay,nope"} {
-		if _, err := ParseTenant(bad); err == nil {
-			t.Errorf("ParseTenant(%q) accepted", bad)
+	for _, bad := range []string{",", "nope", "s2-stale-replay,nope"} {
+		if _, err := ParseList(bad, TenantScenarios()); err == nil {
+			t.Errorf("ParseList(%q) accepted", bad)
 		}
 	}
 }
