@@ -343,3 +343,58 @@ func TestSATASlotExhaustion(t *testing.T) {
 		t.Error("33rd issue should fail")
 	}
 }
+
+// readLog is a mem.FaultHook that records the longest bulk read and
+// corrupts nothing.
+type readLog struct{ longest int }
+
+func (l *readLog) ReadFault(_ mem.PA, buf []byte) bool {
+	l.longest = max(l.longest, len(buf))
+	return false
+}
+
+func (l *readLog) WriteFault(mem.PA, []byte) bool { return false }
+
+// TestNICTransmitRefusesOverlongDescriptor: a Tx descriptor longer than any
+// driver buffer is a descriptor fault. It is refused with an error and
+// FlagError before any DMA read or scratch allocation of that length, and
+// the ring moves past it.
+func TestNICTransmitRefusesOverlongDescriptor(t *testing.T) {
+	f := newFixture(t, ProfileBRCM)
+	var log readLog
+	f.mm.SetFaultHook(&log)
+	pa, _ := f.buffer(t, []byte("payload"))
+	if _, err := f.tx.Post(ring.Descriptor{Addr: uint64(pa), Len: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	sent, err := f.nic.ProcessTx(1)
+	if err == nil || sent != 0 {
+		t.Fatalf("ProcessTx of an over-length descriptor = %d, %v; want 0 and an error", sent, err)
+	}
+	if f.nic.Faults != 1 {
+		t.Errorf("Faults = %d, want 1", f.nic.Faults)
+	}
+	// The only reads are the descriptor fetches themselves.
+	if log.longest > ring.DescBytes || cap(f.nic.txScratch) > MaxBufferBytes {
+		t.Errorf("over-length descriptor read %d bytes into a %d-byte scratch buffer", log.longest, cap(f.nic.txScratch))
+	}
+	d, err := f.tx.ReadSlot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Flags&ring.FlagDone == 0 || d.Flags&ring.FlagError == 0 {
+		t.Errorf("refused descriptor flags = %#x, want done|error", d.Flags)
+	}
+
+	// A page-long descriptor, the largest legitimate one, still transmits.
+	full, _ := f.buffer(t, bytes.Repeat([]byte{7}, MaxBufferBytes))
+	if _, err := f.tx.Post(ring.Descriptor{Addr: uint64(full), Len: MaxBufferBytes}); err != nil {
+		t.Fatal(err)
+	}
+	if sent, err := f.nic.ProcessTx(1); err != nil || sent != 1 {
+		t.Fatalf("ProcessTx of a page-long descriptor = %d, %v", sent, err)
+	}
+	if log.longest != MaxBufferBytes {
+		t.Errorf("longest read = %d, want %d", log.longest, MaxBufferBytes)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"riommu/internal/dma"
+	"riommu/internal/mem"
 	"riommu/internal/pci"
 	"riommu/internal/ring"
 )
@@ -68,6 +69,11 @@ var ProfileBRCM = NICProfile{
 	MTU:              1500,
 	CostScale:        0.5,
 }
+
+// MaxBufferBytes bounds the length of a data descriptor. A descriptor names
+// one driver buffer and drivers never allocate buffers larger than a page,
+// so a longer length can only be a corrupted or hostile descriptor.
+const MaxBufferBytes = mem.PageSize
 
 // IRQLine is the device's interrupt pin-pair: the NIC raises Rx/Tx
 // completion interrupts through it when work completes. A nil line means
@@ -197,15 +203,17 @@ func (n *NIC) ProcessTx(maxPackets int) (int, error) {
 					}
 				}
 			} else {
+				if d.Len > MaxBufferBytes {
+					// Refused before any DMA or allocation of that length.
+					n.failTx(slot, d)
+					return sent, fmt.Errorf("device %s: tx descriptor length %d exceeds %d", n.Profile.Name, d.Len, MaxBufferBytes)
+				}
 				if uint32(cap(n.txScratch)) < d.Len {
 					n.txScratch = make([]byte, d.Len)
 				}
 				buf := n.txScratch[:d.Len]
 				if err := n.eng.Read(n.bdf, d.Addr, buf); err != nil {
-					n.Faults++
-					d.Flags |= ring.FlagDone | ring.FlagError
-					_ = n.writeDescriptorStatus(n.tx, slot, d)
-					_ = n.tx.AdvanceHead()
+					n.failTx(slot, d)
 					return sent, fmt.Errorf("device %s: tx buffer DMA: %w", n.Profile.Name, err)
 				}
 				if n.CaptureTx {
@@ -232,6 +240,15 @@ func (n *NIC) ProcessTx(maxPackets int) (int, error) {
 		n.IRQ.RaiseTx()
 	}
 	return sent, nil
+}
+
+// failTx counts a descriptor fault on Tx slot, completes the slot with
+// FlagError and moves past it.
+func (n *NIC) failTx(slot uint32, d ring.Descriptor) {
+	n.Faults++
+	d.Flags |= ring.FlagDone | ring.FlagError
+	_ = n.writeDescriptorStatus(n.tx, slot, d)
+	_ = n.tx.AdvanceHead()
 }
 
 // DeliverPacket deposits a received packet into the next posted Rx

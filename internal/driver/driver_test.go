@@ -293,3 +293,42 @@ func TestDescriptorsCarryMappedAddresses(t *testing.T) {
 		t.Error("posted descriptor not ready")
 	}
 }
+
+// readLog is a mem.FaultHook that records the longest bulk read and
+// corrupts nothing.
+type readLog struct{ longest int }
+
+func (l *readLog) ReadFault(_ mem.PA, buf []byte) bool {
+	l.longest = max(l.longest, len(buf))
+	return false
+}
+
+func (l *readLog) WriteFault(mem.PA, []byte) bool { return false }
+
+// TestReapRxRefusesOverlongCompletion: a completed Rx descriptor whose
+// length exceeds its buffer (a corrupted or hostile device) is a descriptor
+// fault. ReapRx returns an error and never copies past the buffer.
+func TestReapRxRefusesOverlongCompletion(t *testing.T) {
+	drv, _, mm := identityNIC(t, device.ProfileBRCM)
+	if err := drv.Deliver(bytes.Repeat([]byte{0x42}, 700)); err != nil {
+		t.Fatal(err)
+	}
+	slot := drv.rxReap
+	desc, err := drv.RxRing().ReadSlot(slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc.Len = 1 << 20
+	if err := drv.RxRing().WriteSlot(slot, desc); err != nil {
+		t.Fatal(err)
+	}
+	var log readLog
+	mm.SetFaultHook(&log)
+	frames, err := drv.ReapRx()
+	if err == nil || frames != nil {
+		t.Fatalf("ReapRx of an over-length completion = %d frames, %v; want an error", len(frames), err)
+	}
+	if log.longest != 0 {
+		t.Errorf("ReapRx copied %d bytes out of a %d-byte buffer", log.longest, drv.pool.BufSize())
+	}
+}
