@@ -97,13 +97,15 @@ traffic: build
 	$(GO) run -race ./cmd/riommu-faults \
 		-rounds 16 -rates 0 -modes strict,riommu -churn 200000 > /dev/null
 
-# Short bounded runs of the fault-determinism and IRTE-allocator fuzzers
-# (the seed corpora also run as part of plain `go test`).
+# Short bounded runs of the fault-determinism, IRTE-allocator, stage-2 walk,
+# connection-churn and checkpoint-loader fuzzers (the seed corpora also run
+# as part of plain `go test`).
 fuzz:
 	$(GO) test ./internal/sim/ -run FuzzFaultDeterminism -fuzz FuzzFaultDeterminism -fuzztime 20s
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime 20s
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime 20s
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime 20s
+	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 20s
 
 # fuzz-smoke is the CI-sized variant: long enough to execute the engines on
 # generated inputs, short enough for every push.
@@ -112,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
 
 # bench-json regenerates the committed benchmark golden. Run it (and commit
 # the result) whenever an intentional change moves any cell metric. The
