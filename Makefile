@@ -98,14 +98,16 @@ traffic: build
 		-rounds 16 -rates 0 -modes strict,riommu -churn 200000 > /dev/null
 
 # Short bounded runs of the fault-determinism, IRTE-allocator, stage-2 walk,
-# connection-churn and checkpoint-loader fuzzers (the seed corpora also run
-# as part of plain `go test`).
+# connection-churn, checkpoint-loader and trace-file parser fuzzers (the seed
+# corpora also run as part of plain `go test`).
 fuzz:
 	$(GO) test ./internal/sim/ -run FuzzFaultDeterminism -fuzz FuzzFaultDeterminism -fuzztime 20s
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime 20s
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime 20s
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime 20s
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 20s
+	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 20s
+	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime 20s
 
 # fuzz-smoke is the CI-sized variant: long enough to execute the engines on
 # generated inputs, short enough for every push.
@@ -115,6 +117,8 @@ fuzz-smoke:
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)
 
 # bench-json regenerates the committed benchmark golden. Run it (and commit
 # the result) whenever an intentional change moves any cell metric. The

@@ -8,10 +8,10 @@ import (
 	"bytes"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"riommu/internal/core"
 	"riommu/internal/cycles"
+	"riommu/internal/detrand"
 	"riommu/internal/dma"
 	"riommu/internal/driver"
 	"riommu/internal/mem"
@@ -93,7 +93,8 @@ func sataDemo(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, hw *core.
 			log.Fatal(err)
 		}
 	}
-	results, err := d.CompleteAll(rand.New(rand.NewSource(2015)))
+	rng := detrand.Source(2015)
+	results, err := d.CompleteAll(&rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func sataDemo(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, hw *core.
 	if _, err := d.SubmitRead(70, 4096); err != nil {
 		log.Fatal(err)
 	}
-	reads, err := d.CompleteAll(rand.New(rand.NewSource(7)))
+	reads, err := d.CompleteAll(&rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func sataDemo(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, hw *core.
 	}
 	fmt.Println("out-of-order unmaps stayed exact: each slot owns its own rPTE,")
 	fmt.Println("so arbitrary completion order cannot corrupt another command's mapping.")
-	if err := d.Teardown(rand.New(rand.NewSource(1))); err != nil {
+	if err := d.Teardown(&rng); err != nil {
 		log.Fatal(err)
 	}
 }

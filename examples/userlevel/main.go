@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"riommu/internal/detrand"
 	"riommu/internal/driver"
 	"riommu/internal/pci"
 	"riommu/internal/sim"
@@ -50,7 +51,7 @@ func run(mode sim.Mode) (randCy, hotCy float64) {
 	iovas := premap(sys, prot)
 
 	lcg := uint64(0x2545F4914F6CDD1D)
-	next := func() uint64 { lcg ^= lcg << 13; lcg ^= lcg >> 7; lcg ^= lcg << 17; return lcg }
+	next := func() uint64 { return detrand.XorShift(&lcg) }
 	buf := make([]byte, 64)
 
 	measure := func(pick func(i int) uint64) float64 {
@@ -85,8 +86,8 @@ func runRIOMMU() (seqCy, randCy float64) {
 	}
 	iovas := premap(sys, prot)
 
-	lcg := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 { lcg ^= lcg << 13; lcg ^= lcg >> 7; lcg ^= lcg << 17; return lcg }
+	lcg := uint64(detrand.Gamma)
+	next := func() uint64 { return detrand.XorShift(&lcg) }
 	buf := make([]byte, 64)
 	measure := func(pick func(i int) uint64) float64 {
 		before := sys.Dev.Now()

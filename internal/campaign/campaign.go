@@ -792,9 +792,9 @@ func blockCell(dev string, mode sim.Mode, seed uint64, rate float64, rounds int,
 			return CellMetrics{}, err
 		}
 		d := driver.NewSATADriver(sys.Mem, prot, sys.Eng, bdf, 4096, 256)
-		// Cell-local deterministic source, never the global math/rand
-		// state: the stream depends only on the cell's seed.
-		rng := detrand.New(int64(seed))
+		// Cell-local completion-order stream, tagged apart from the fault
+		// engine's stream on the same seed.
+		rng := detrand.Source(seed ^ 0x736174616f726472) // "sataordr"
 		lba := uint64(0)
 		target = d
 		op = func() error {
@@ -802,7 +802,7 @@ func blockCell(dev string, mode sim.Mode, seed uint64, rate float64, rounds int,
 				return err
 			}
 			lba++
-			_, err := d.CompleteAll(rng)
+			_, err := d.CompleteAll(&rng)
 			return err
 		}
 	default:

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"riommu/internal/cycles"
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/intremap"
@@ -114,24 +115,9 @@ type Config struct {
 
 var equivBDF = pci.NewBDF(0, 3, 0)
 
-// splitmix64 is the per-step payload RNG (same construction as
-// parallel.CellSeed's mixer, self-contained here).
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func payload(rng *uint64, n int) []byte {
+func payload(rng *detrand.Source, n int) []byte {
 	b := make([]byte, n)
-	for i := 0; i < n; i += 8 {
-		v := splitmix64(rng)
-		for j := 0; j < 8 && i+j < n; j++ {
-			b[i+j] = byte(v >> (8 * j))
-		}
-	}
+	rng.Fill(b)
 	return b
 }
 
@@ -196,10 +182,10 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 		return tr, err
 	}
 
-	rng := cfg.Seed
+	rng := detrand.Source(cfg.Seed)
 	for round := 0; round < cfg.Rounds; round++ {
 		q := round % cfg.Queues
-		n := 64 + int(splitmix64(&rng)%1200)
+		n := 64 + int(rng.Uint64()%1200)
 		if err := mq.Send(payload(&rng, n)); err != nil {
 			return tr, fmt.Errorf("round %d send: %w", round, err)
 		}
@@ -211,7 +197,7 @@ func RunWorkload(mode sim.Mode, cfg Config) (Trace, error) {
 			return tr, fmt.Errorf("round %d reap: %w", round, err)
 		}
 		if round%3 == 2 {
-			frame := payload(&rng, 60+int(splitmix64(&rng)%900))
+			frame := payload(&rng, 60+int(rng.Uint64()%900))
 			if err := mq.Deliver(q, frame); err != nil {
 				return tr, fmt.Errorf("round %d deliver: %w", round, err)
 			}

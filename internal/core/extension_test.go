@@ -3,9 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/dma"
 	"riommu/internal/mem"
@@ -134,7 +134,8 @@ func TestSATAUnderRIOMMU(t *testing.T) {
 		}
 		iovas[slot] = iova
 	}
-	order, err := disk.CompleteAll(rand.New(rand.NewSource(7)))
+	rng := detrand.Source(7)
+	order, err := disk.CompleteAll(&rng)
 	if err != nil {
 		t.Fatalf("out-of-order completion through rIOMMU: %v", err)
 	}

@@ -1,123 +1,87 @@
-// Package detrand constructs math/rand generators without paying the
-// lagged-Fibonacci seeding cost on every construction.
-//
-// The campaign runtime builds a fresh deterministic *rand.Rand for every
-// cell that consumes randomness (e.g. the SATA completion-order shuffle),
-// and math/rand's Source seeding is surprisingly expensive: ~1900 rounds of
-// 64-bit division (tens of microseconds) before the first draw. Since the
-// Go 1 compatibility promise freezes the stream each seed produces, the
-// seeded state is a pure function of the seed — so it can be computed once
-// per distinct seed and replayed.
-//
-// New(seed) returns a *rand.Rand whose draw sequence is bit-identical to
-// rand.New(rand.NewSource(seed)) — pinned by TestMatchesMathRand — with the
-// expensive seeding cached per seed.
+// Package detrand holds the simulator's deterministic primitives: the
+// splitmix64 Source every seeded component draws from, the FNV-1a digest
+// behind cell seeds and traffic digests, and the xorshift64 step of the
+// synthetic access traces. It is integer arithmetic with no package state,
+// so every stream and digest is a pure function of its inputs on every
+// platform and Go release; known-answer vectors pin the exact outputs.
 package detrand
 
-import (
-	"math/rand"
-	"sync"
-)
+// Gamma is splitmix64's increment, 2^64/φ rounded to odd. Callers also use
+// it as an odd multiplier that spreads sequence numbers across 64 bits.
+const Gamma = 0x9e3779b97f4a7c15
 
-// Generator geometry of math/rand's additive lagged-Fibonacci source
-// (rngLen-position feedback register with a tap rngTap back).
 const (
-	rngLen = 607
-	rngTap = 273
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
 )
 
-// template holds the first rngLen raw Uint64 outputs of a freshly seeded
-// source, in draw order. Because the generator updates exactly one register
-// slot per draw and cycles through all of them every rngLen draws, these
-// outputs are simultaneously (a) the stream prefix to replay and (b) the
-// complete register state at draw rngLen — no access to math/rand internals
-// is needed to continue the sequence.
-type template struct {
-	out [rngLen]uint64
+// Source is a splitmix64 generator. Its value is its whole state: the
+// conversion Source(seed) builds one, and a copy continues independently.
+type Source uint64
+
+// Uint64 advances the stream and returns the next draw.
+func (s *Source) Uint64() uint64 {
+	*s += Gamma
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
-var (
-	tmplMu sync.Mutex
-	tmpls  = map[int64]*template{}
-)
+// Float64 returns a uniform draw in [0, 1).
+func (s *Source) Float64() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
 
-func templateFor(seed int64) *template {
-	tmplMu.Lock()
-	defer tmplMu.Unlock()
-	if t, ok := tmpls[seed]; ok {
-		return t
-	}
-	src, ok := rand.NewSource(seed).(rand.Source64)
-	if !ok {
-		return nil // no Source64: caller falls back to plain math/rand
-	}
-	t := &template{}
-	for i := range t.out {
-		t.out[i] = src.Uint64()
-	}
-	tmpls[seed] = t
-	return t
-}
-
-// source replays a template's prefix, then continues the lagged-Fibonacci
-// recurrence on the register state the prefix encodes. Most consumers (a
-// few hundred draws per campaign cell) never leave the replay phase, so
-// construction is one map lookup and no copying.
-type source struct {
-	t    *template
-	k    int // next replay index
-	live bool
-	vec  [rngLen]uint64
-	tap  int
-	feed int
-}
-
-func (s *source) Uint64() uint64 {
-	if !s.live {
-		if s.k < rngLen {
-			x := s.t.out[s.k]
-			s.k++
-			return x
+// Fill overwrites p with draws, eight little-endian bytes per draw; the
+// unused high bytes of a final partial draw are discarded.
+func (s *Source) Fill(p []byte) {
+	var w uint64
+	for i := range p {
+		if i&7 == 0 {
+			w = s.Uint64()
 		}
-		// Reconstruct the register: draw k updated slot (feed0-1-k) mod
-		// rngLen, where feed0 = rngLen-rngTap is the initial feed position.
-		for k := 0; k < rngLen; k++ {
-			s.vec[((rngLen-rngTap-1-k)%rngLen+rngLen)%rngLen] = s.t.out[k]
-		}
-		// After exactly rngLen draws both cursors are back at their seeded
-		// positions.
-		s.tap, s.feed = 0, rngLen-rngTap
-		s.live = true
+		p[i] = byte(w >> (8 * uint(i&7)))
 	}
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
-	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return x
 }
 
-func (s *source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
-
-func (s *source) Seed(seed int64) {
-	t := templateFor(seed)
-	if t == nil {
-		panic("detrand: math/rand source lost Source64") // unreachable: checked in New
+// Shuffle permutes n elements through swap with a Fisher–Yates pass from
+// the top, drawing j = Uint64() % (i+1) for each i from n-1 down to 1.
+func (s *Source) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, int(s.Uint64()%uint64(i+1)))
 	}
-	*s = source{t: t}
 }
 
-// New returns a generator producing exactly the stream of
-// rand.New(rand.NewSource(seed)), seeding each distinct seed only once.
-func New(seed int64) *rand.Rand {
-	t := templateFor(seed)
-	if t == nil {
-		return rand.New(rand.NewSource(seed))
+// FNVByte folds b into the FNV-1a digest h. An h of 0 stands for the
+// offset basis, so the zero value is a digest with no input yet.
+func FNVByte(h uint64, b byte) uint64 {
+	if h == 0 {
+		h = fnvOffset
 	}
-	return rand.New(&source{t: t})
+	return (h ^ uint64(b)) * fnvPrime
+}
+
+// FNV64 folds the eight bytes of v, least significant first, into h.
+func FNV64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = FNVByte(h, byte(v>>(8*i)))
+	}
+	return h
+}
+
+// FNVBytes folds the bytes of p into h.
+func FNVBytes[T string | []byte](h uint64, p T) uint64 {
+	for i := 0; i < len(p); i++ {
+		h = FNVByte(h, p[i])
+	}
+	return h
+}
+
+// XorShift advances the xorshift64 (13, 7, 17) state x and returns it.
+func XorShift(x *uint64) uint64 {
+	v := *x
+	v ^= v << 13
+	v ^= v >> 7
+	v ^= v << 17
+	*x = v
+	return v
 }

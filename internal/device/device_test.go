@@ -2,9 +2,9 @@ package device
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
+	"riommu/internal/detrand"
 	"riommu/internal/dma"
 	"riommu/internal/iommu"
 	"riommu/internal/mem"
@@ -292,8 +292,8 @@ func TestSATAOutOfOrderCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(42))
-	order, err := disk.CompleteAll(rng)
+	rng := detrand.Source(42)
+	order, err := disk.CompleteAll(&rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestSATAOutOfOrderCompletion(t *testing.T) {
 	if _, err := disk.Issue(SATACommand{BufIOVA: uint64(rf.PA()), Block: 3, Length: 512, Op: SATARead}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := disk.CompleteAll(rng); err != nil {
+	if _, err := disk.CompleteAll(&rng); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := mm.Read(rf.PA(), 512)

@@ -2,8 +2,8 @@ package device
 
 import (
 	"fmt"
-	"math/rand"
 
+	"riommu/internal/detrand"
 	"riommu/internal/dma"
 	"riommu/internal/pci"
 )
@@ -110,7 +110,7 @@ func (s *SATA) Issue(cmd SATACommand) (int, error) {
 // from rng (pass a seeded source for determinism), returning the slots in
 // completion order. This is the AHCI behaviour that breaks the sequential
 // (un)mapping premise rIOMMU relies on.
-func (s *SATA) CompleteAll(rng *rand.Rand) ([]int, error) {
+func (s *SATA) CompleteAll(rng *detrand.Source) ([]int, error) {
 	if s.eng.Faults().HangCheck(s.bdf) {
 		return nil, nil // wedged: issued commands sit in their slots (watchdog territory)
 	}

@@ -2,8 +2,8 @@ package driver
 
 import (
 	"fmt"
-	"math/rand"
 
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/dma"
 	"riommu/internal/mem"
@@ -137,7 +137,7 @@ type SATAResult struct {
 // CompleteAll lets the drive finish every issued command in arbitrary
 // order, then unmaps each buffer in that completion order (burst-end on the
 // last). Returns results in completion order.
-func (d *SATADriver) CompleteAll(rng *rand.Rand) ([]SATAResult, error) {
+func (d *SATADriver) CompleteAll(rng *detrand.Source) ([]SATAResult, error) {
 	order, err := d.disk.CompleteAll(rng)
 	if err != nil {
 		return nil, err
@@ -194,7 +194,7 @@ func (d *SATADriver) Recover() error {
 func (d *SATADriver) Progress() uint64 { return d.disk.Commands }
 
 // Teardown drains and releases buffers.
-func (d *SATADriver) Teardown(rng *rand.Rand) error {
+func (d *SATADriver) Teardown(rng *detrand.Source) error {
 	if _, err := d.CompleteAll(rng); err != nil {
 		return err
 	}

@@ -2,12 +2,12 @@ package driver
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"riommu/internal/baseline"
 	"riommu/internal/core"
 	"riommu/internal/cycles"
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/dma"
 	"riommu/internal/iommu"
@@ -163,8 +163,8 @@ func TestSATADriverOutOfOrder(t *testing.T) {
 					t.Fatalf("write %d: %v", blk, err)
 				}
 			}
-			rng := rand.New(rand.NewSource(99))
-			results, err := d.CompleteAll(rng)
+			rng := detrand.Source(99)
+			results, err := d.CompleteAll(&rng)
 			if err != nil {
 				t.Fatalf("out-of-order completion: %v", err)
 			}
@@ -177,7 +177,7 @@ func TestSATADriverOutOfOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			results, err = d.CompleteAll(rng)
+			results, err = d.CompleteAll(&rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestSATADriverOutOfOrder(t *testing.T) {
 			if len(seen) != 16 {
 				t.Error("duplicate completions")
 			}
-			if err := d.Teardown(rng); err != nil {
+			if err := d.Teardown(&rng); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -211,7 +211,8 @@ func TestSATADriverSlotExhaustion(t *testing.T) {
 	if _, err := d.SubmitRead(0, 512); err == nil {
 		t.Error("33rd submit should fail")
 	}
-	if _, err := d.CompleteAll(rand.New(rand.NewSource(1))); err != nil {
+	rng := detrand.Source(1)
+	if _, err := d.CompleteAll(&rng); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.SubmitRead(0, 512); err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"riommu/internal/detrand"
 	"riommu/internal/driver"
 	"riommu/internal/parallel"
 	"riommu/internal/pci"
@@ -36,18 +37,6 @@ func RunMissPenalty(cfg Config) (MissPenaltyResult, error) {
 	bdf := pci.NewBDF(0, 3, 0)
 	const poolBuffers = 2048
 	sends := cfg.Quality.scale(4000, 20000)
-
-	// Each cell owns one xorshift state; the streams must depend only on
-	// the cell, never on which worker ran it.
-	newRand := func() func() uint64 {
-		lcg := uint64(0x9e3779b97f4a7c15)
-		return func() uint64 {
-			lcg ^= lcg << 13
-			lcg ^= lcg >> 7
-			lcg ^= lcg << 17
-			return lcg
-		}
-	}
 
 	type half struct {
 		a, b            float64 // cell-specific measurements
@@ -95,7 +84,10 @@ func RunMissPenalty(cfg Config) (MissPenaltyResult, error) {
 			}
 			return float64(sys.Dev.Now()-before) / float64(sends)
 		}
-		next := newRand()
+		// Each cell owns one xorshift state; the streams must depend only
+		// on the cell, never on which worker ran it.
+		lcg := uint64(detrand.Gamma)
+		next := func() uint64 { return detrand.XorShift(&lcg) }
 		if id == 0 {
 			// Baseline IOMMU, persistent mappings, polling-mode sends:
 			// random buffer from a large pool (always misses) vs a single

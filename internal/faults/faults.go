@@ -4,9 +4,9 @@
 // and mode-degradation machinery layered on top of it in package driver —
 // requires faults that occur on demand and reproduce exactly. The engine is
 // therefore fully deterministic: a seed plus a per-class rate vector defines
-// the complete fault schedule, no wall clock or global math/rand state is
-// ever consulted, and the same workload against the same configuration
-// yields a byte-identical schedule (see ScheduleBytes).
+// the complete fault schedule, drawn from one detrand.Source; no wall clock
+// or global state is ever consulted, and the same workload against the same
+// configuration yields a byte-identical schedule (see ScheduleBytes).
 //
 // Each simulated layer consults the engine at its natural fault points:
 //
@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"riommu/internal/detrand"
 	"riommu/internal/mem"
 	"riommu/internal/pci"
 )
@@ -130,21 +131,6 @@ type Injection struct {
 	Addr  uint64
 }
 
-// rng is a splitmix64 generator: tiny, seedable, and sequence-stable across
-// Go releases (unlike math/rand, whose global state the engine must avoid).
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0,1).
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 // Sink receives a notification for every injected fault; package trace's
 // Trace satisfies it, surfacing injections in recorded DMA traces.
 type Sink interface {
@@ -156,7 +142,7 @@ type Sink interface {
 // methods accept a nil receiver.
 type Engine struct {
 	cfg    Config
-	rng    rng
+	rng    detrand.Source
 	seq    uint64 // opportunities observed
 	counts [NumClasses]uint64
 	sched  []Injection
@@ -168,7 +154,7 @@ type Engine struct {
 
 // New creates an engine with the given configuration.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, rng: rng{s: cfg.Seed}, hung: make(map[pci.BDF]bool)}
+	return &Engine{cfg: cfg, rng: detrand.Source(cfg.Seed), hung: make(map[pci.BDF]bool)}
 }
 
 // Enabled reports whether injection is active.
@@ -252,7 +238,7 @@ func (e *Engine) roll(c Class, bdf pci.BDF, addr uint64) bool {
 	}
 	e.seq++
 	rate := e.cfg.Rates[c]
-	if rate <= 0 || e.rng.float64() >= rate {
+	if rate <= 0 || e.rng.Float64() >= rate {
 		return false
 	}
 	e.counts[c]++
@@ -268,8 +254,8 @@ func (e *Engine) flip(buf []byte) {
 	if len(buf) == 0 {
 		return
 	}
-	i := int(e.rng.next() % uint64(len(buf)))
-	buf[i] ^= 1 << (e.rng.next() % 8)
+	i := int(e.rng.Uint64() % uint64(len(buf)))
+	buf[i] ^= 1 << (e.rng.Uint64() % 8)
 }
 
 // ReadFault implements mem.FaultHook: it may corrupt the data just read.
@@ -308,7 +294,7 @@ func (e *Engine) FlipDescriptor(bdf pci.BDF, addr uint64, w0, w1 *uint64) bool {
 	if !e.roll(DescBitFlip, bdf, addr) {
 		return false
 	}
-	bit := e.rng.next() % 128
+	bit := e.rng.Uint64() % 128
 	if bit < 64 {
 		*w0 ^= 1 << bit
 	} else {

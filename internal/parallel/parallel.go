@@ -30,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"riommu/internal/detrand"
 )
 
 // ErrInterrupted marks a cell that was never started because the run was
@@ -136,20 +138,8 @@ func Map[T, R any](workers int, in []T, fn func(i int, item T) (R, error)) ([]R,
 // randomness depends only on what the cell *is*, never on which worker ran
 // it or when. Distinct cells get statistically independent streams.
 func CellSeed(base uint64, id string) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= fnvPrime
-	}
-	// splitmix64 finalizer over the combined state.
-	z := base + h + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	s := detrand.Source(base + detrand.FNVBytes(0, id))
+	return s.Uint64()
 }
 
 // ParseShard parses a -shard flag value "i/K" into (index, count): process

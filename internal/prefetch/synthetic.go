@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"riommu/internal/detrand"
 	"riommu/internal/pci"
 	"riommu/internal/trace"
 )
@@ -16,12 +17,7 @@ import (
 func SyntheticRingTrace(bdf pci.BDF, ringPages, laps, rings, churnPct int) *trace.Trace {
 	tr := &trace.Trace{}
 	lcg := uint64(88172645463325252)
-	next := func() uint64 {
-		lcg ^= lcg << 13
-		lcg ^= lcg >> 7
-		lcg ^= lcg << 17
-		return lcg
-	}
+	next := func() uint64 { return detrand.XorShift(&lcg) }
 	freshPage := func() uint64 { return (next() % (1 << 20) << 12) }
 
 	// Assign scattered pages per slot per ring and pre-map the rings.

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"riommu/internal/baseline"
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/faults"
@@ -99,12 +99,12 @@ func TestSATAIOPFRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := driver.NewSATADriver(sys.Mem, prot, sys.Eng, sataBDF, 4096, 256)
-			rng := rand.New(rand.NewSource(7))
+			rng := detrand.Source(7)
 			payload := bytes.Repeat([]byte{0x3C}, 512)
 			if _, err := d.SubmitWrite(9, payload); err != nil {
 				t.Fatal(err)
 			}
-			if res, err := d.CompleteAll(rng); err != nil || len(res) != 1 {
+			if res, err := d.CompleteAll(&rng); err != nil || len(res) != 1 {
 				t.Fatalf("healthy write: %v %v", res, err)
 			}
 
@@ -112,7 +112,7 @@ func TestSATAIOPFRecovery(t *testing.T) {
 			if _, err := d.SubmitWrite(11, payload); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.CompleteAll(rng); err == nil {
+			if _, err := d.CompleteAll(&rng); err == nil {
 				t.Fatal("expected an I/O page fault from the stale DMA")
 			}
 			f.SetRate(faults.DMAStale, 0)
@@ -123,20 +123,20 @@ func TestSATAIOPFRecovery(t *testing.T) {
 			if _, err := d.SubmitWrite(11, payload); err != nil {
 				t.Fatalf("write after recovery: %v", err)
 			}
-			if res, err := d.CompleteAll(rng); err != nil || len(res) != 1 {
+			if res, err := d.CompleteAll(&rng); err != nil || len(res) != 1 {
 				t.Fatalf("complete after recovery: %v %v", res, err)
 			}
 			if _, err := d.SubmitRead(11, uint32(len(payload))); err != nil {
 				t.Fatal(err)
 			}
-			res, err := d.CompleteAll(rng)
+			res, err := d.CompleteAll(&rng)
 			if err != nil || len(res) != 1 {
 				t.Fatalf("read-back: %v %v", res, err)
 			}
 			if !bytes.Equal(res[0].Data, payload) {
 				t.Error("post-recovery read-back corrupted")
 			}
-			if err := d.Teardown(rng); err != nil {
+			if err := d.Teardown(&rng); err != nil {
 				t.Fatalf("teardown after recovery: %v", err)
 			}
 		})
@@ -239,7 +239,7 @@ func TestWatchdogRecoversHungDevices(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := driver.NewSATADriver(sys.Mem, prot, sys.Eng, sataBDF, 4096, 256)
-		rng := rand.New(rand.NewSource(7))
+		rng := detrand.Source(7)
 		sup := sys.Supervise(sataBDF, d)
 		if _, err := sup.Watch(); err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestWatchdogRecoversHungDevices(t *testing.T) {
 		if _, err := d.SubmitWrite(1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := d.CompleteAll(rng); err != nil || len(res) != 0 {
+		if res, err := d.CompleteAll(&rng); err != nil || len(res) != 0 {
 			t.Fatalf("hung drive completed: %v %v", res, err)
 		}
 		f.SetRate(faults.DeviceHang, 0)
@@ -258,7 +258,7 @@ func TestWatchdogRecoversHungDevices(t *testing.T) {
 		if _, err := d.SubmitWrite(1, []byte("y")); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := d.CompleteAll(rng); err != nil || len(res) != 1 {
+		if res, err := d.CompleteAll(&rng); err != nil || len(res) != 1 {
 			t.Fatalf("complete after recovery: %v %v", res, err)
 		}
 	})

@@ -2,12 +2,12 @@ package sim
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"riommu/internal/baseline"
 	"riommu/internal/core"
 	"riommu/internal/cycles"
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/dma"
 	"riommu/internal/driver"
@@ -78,7 +78,8 @@ func TestHybridMachine(t *testing.T) {
 	if !bytes.Equal(nic.LastTx, payload) {
 		t.Error("NIC payload corrupted in hybrid setup")
 	}
-	if _, err := diskDrv.CompleteAll(rand.New(rand.NewSource(42))); err != nil {
+	rng := detrand.Source(42)
+	if _, err := diskDrv.CompleteAll(&rng); err != nil {
 		t.Fatalf("disk completion: %v", err)
 	}
 	if _, err := nicDrv.ReapTx(); err != nil {

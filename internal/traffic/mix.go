@@ -1,59 +1,14 @@
 package traffic
 
-// Deterministic randomness and the traffic mixes: splitmix64 streams (one
-// for the schedule, one per flow for payload), FNV-1a digests, the
-// heavy-tailed message-size and flow-length distributions, and the diurnal
-// load curve. Everything is integer arithmetic so results are identical on
-// every platform.
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 {
-	if h == 0 {
-		h = fnvOffset
-	}
-	return (h ^ uint64(b)) * fnvPrime
-}
-
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-func fnvBytes(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h = fnvByte(h, b)
-	}
-	return h
-}
-
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func fillPayload(rng *uint64, p []byte) {
-	var w uint64
-	for i := range p {
-		if i&7 == 0 {
-			w = splitmix64(rng)
-		}
-		p[i] = byte(w >> (8 * uint(i&7)))
-	}
-}
+// The traffic mixes: the heavy-tailed message-size and flow-length
+// distributions and the diurnal load curve, drawn from the engine's
+// schedule stream. Everything is integer arithmetic so results are
+// identical on every platform.
 
 // drawMsgBytes samples the heavy-tailed request-size mix: mostly small
 // RPCs, a tail of multi-packet responses out to ~64 MSS bulk transfers.
 func (e *Engine) drawMsgBytes() int {
-	r := e.rand()
+	r := e.rng.Uint64()
 	switch p := r % 100; {
 	case p < 50:
 		return 64 + int((r>>8)%448) // small RPC request
@@ -75,7 +30,7 @@ func (e *Engine) drawFlowLen() int {
 	if m < 1 {
 		m = 1
 	}
-	r := e.rand()
+	r := e.rng.Uint64()
 	var l int
 	switch p := r % 16; {
 	case p < 10:
@@ -98,7 +53,7 @@ func (e *Engine) drawFlowLen() int {
 // mixed size classes are what exercise the IOVA allocators' free-stack
 // reuse (and the Linux allocator's gap-search pathology) under churn.
 func (e *Engine) drawSteerPages() int {
-	switch p := e.rand() % 16; {
+	switch p := e.rng.Uint64() % 16; {
 	case p < 9:
 		return 1
 	case p < 13:

@@ -32,6 +32,7 @@ import (
 	"riommu/internal/baseline"
 	"riommu/internal/core"
 	"riommu/internal/cycles"
+	"riommu/internal/detrand"
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/iova"
@@ -177,7 +178,7 @@ type Result struct {
 type conn struct {
 	path       Path
 	remaining  int
-	payloadRNG uint64
+	payloadRNG detrand.Source
 	steerIOVA  uint64
 	steerSize  uint32
 }
@@ -207,7 +208,7 @@ type Engine struct {
 	closeCy uint64
 	pollCy  uint64
 
-	rng      uint64 // schedule stream
+	rng      detrand.Source // schedule stream
 	tick     int
 	cursor   int
 	flowSeq  uint64
@@ -267,11 +268,11 @@ func (p meteredProt) MapBatch(ring int, pas []mem.PA, size uint32, dir pci.Dir, 
 }
 
 func (e *Engine) noteMap(op byte, ring int, iova uint64, size uint32, extra uint64) {
-	h := fnvByte(e.mapDigest, op)
-	h = fnv64(h, uint64(ring))
-	h = fnv64(h, iova)
-	h = fnv64(h, uint64(size))
-	e.mapDigest = fnv64(h, extra)
+	h := detrand.FNVByte(e.mapDigest, op)
+	h = detrand.FNV64(h, uint64(ring))
+	h = detrand.FNV64(h, iova)
+	h = detrand.FNV64(h, uint64(size))
+	e.mapDigest = detrand.FNV64(h, extra)
 	e.mapEvents++
 }
 
@@ -298,7 +299,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, sys: sys, rng: cfg.Seed ^ 0x7261666669636b31}
+	e := &Engine{cfg: cfg, sys: sys, rng: detrand.Source(cfg.Seed ^ 0x7261666669636b31)}
 	if cfg.Audit {
 		sys.EnableAudit()
 	}
@@ -365,8 +366,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // devices to it).
 func (e *Engine) System() *sim.System { return e.sys }
 
-func (e *Engine) rand() uint64 { return splitmix64(&e.rng) }
-
 // openFlow starts a fresh flow in slot: draws length, path, and steering
 // size (the draws are path-independent so the application byte stream is
 // too), charges setup, and maps the steering buffer on the kernel path.
@@ -374,11 +373,11 @@ func (e *Engine) openFlow(slot int) error {
 	e.opens++
 	e.flowSeq++
 	c := &e.conns[slot]
-	c.payloadRNG = e.cfg.Seed ^ uint64(slot)<<40 ^ e.flowSeq*0x9e3779b97f4a7c15
+	c.payloadRNG = detrand.Source(e.cfg.Seed ^ uint64(slot)<<40 ^ e.flowSeq*detrand.Gamma)
 	c.remaining = e.drawFlowLen()
 	pages := e.drawSteerPages()
 	c.path = PathKernel
-	if int(e.rand()%1000) < e.cfg.BypassPermille {
+	if int(e.rng.Uint64()%1000) < e.cfg.BypassPermille {
 		c.path = PathBypass
 	}
 	e.sys.CPU.Charge(cycles.Stack, e.openCy)
@@ -475,8 +474,8 @@ func (e *Engine) sendMessage(slot int) error {
 func (e *Engine) sendPacket(slot int, n int) (closed bool, err error) {
 	c := &e.conns[slot]
 	p := e.scratch[:n]
-	fillPayload(&c.payloadRNG, p)
-	e.appDigest = fnvBytes(fnv64(e.appDigest, uint64(slot)), p)
+	c.payloadRNG.Fill(p)
+	e.appDigest = detrand.FNVBytes(detrand.FNV64(e.appDigest, uint64(slot)), p)
 	if c.path == PathBypass {
 		e.bypassPk++
 		err = e.bypassTx(p)
@@ -552,11 +551,11 @@ func (e *Engine) drainTx() error {
 func (e *Engine) Incast(fan int) error {
 	e.incasts++
 	for f := 0; f < fan; f++ {
-		slot := int(e.rand() % uint64(len(e.conns)))
-		n := 256 + int(e.rand()%uint64(e.mss-256))
+		slot := int(e.rng.Uint64() % uint64(len(e.conns)))
+		n := 256 + int(e.rng.Uint64()%uint64(e.mss-256))
 		p := e.scratch[:n]
-		fillPayload(&e.rng, p)
-		e.appDigest = fnvBytes(fnv64(e.appDigest, uint64(slot)), p)
+		e.rng.Fill(p)
+		e.appDigest = detrand.FNVBytes(detrand.FNV64(e.appDigest, uint64(slot)), p)
 		c := &e.conns[slot]
 		if c.path == PathBypass {
 			e.sys.CPU.Charge(cycles.Stack, e.pollCy)

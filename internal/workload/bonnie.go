@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"math/rand"
-
 	"riommu/internal/detrand"
-
 	"riommu/internal/device"
 	"riommu/internal/driver"
 	"riommu/internal/mem"
@@ -17,9 +14,8 @@ import (
 // protection indistinguishable from no IOMMU on SATA drives, HDD or SSD,
 // because the drive — not the CPU — is the bottleneck.
 type BonnieOpts struct {
-	Ops       int
-	ChunkKB   int
-	Sequental bool
+	Ops     int
+	ChunkKB int
 }
 
 func (o *BonnieOpts) defaults() {
@@ -56,7 +52,9 @@ func Bonnie(mode sim.Mode, opts BonnieOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rng := newSeqRand()
+	// Sequential Bonnie issues at depth 1, so the AHCI completion order is
+	// trivially FIFO whatever the seed.
+	rng := detrand.Source(1)
 
 	op := func(block uint64) error {
 		iova, err := prot.Map(driver.RingRx, buf.PA(), chunk, pci.DirBidi)
@@ -66,7 +64,7 @@ func Bonnie(mode sim.Mode, opts BonnieOpts) (Result, error) {
 		if _, err := disk.Issue(device.SATACommand{BufIOVA: iova, Block: block, Length: chunk, Op: device.SATAWrite}); err != nil {
 			return err
 		}
-		if _, err := disk.CompleteAll(rng); err != nil {
+		if _, err := disk.CompleteAll(&rng); err != nil {
 			return err
 		}
 		// A SATA queue of depth one per op: each unmap ends its own burst.
@@ -102,8 +100,3 @@ func Bonnie(mode sim.Mode, opts BonnieOpts) (Result, error) {
 		Units:         uint64(opts.Ops),
 	}, nil
 }
-
-// newSeqRand returns the deterministic source used for AHCI completion
-// order; sequential Bonnie issues at depth 1, so the order is trivially
-// FIFO regardless of the seed.
-func newSeqRand() *rand.Rand { return detrand.New(1) }
