@@ -98,13 +98,15 @@ traffic: build
 		-rounds 16 -rates 0 -modes strict,riommu -churn 200000 > /dev/null
 
 # Short bounded runs of the fault-determinism, IRTE-allocator, stage-2 walk,
-# connection-churn, checkpoint-loader and trace-file parser fuzzers (the seed
-# corpora also run as part of plain `go test`).
+# connection-churn, audit-oracle index, frame-allocator, checkpoint-loader and
+# trace-file parser fuzzers (the seed corpora also run as part of plain `go test`).
 fuzz:
 	$(GO) test ./internal/sim/ -run FuzzFaultDeterminism -fuzz FuzzFaultDeterminism -fuzztime 20s
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime 20s
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime 20s
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime 20s
+	$(GO) test ./internal/audit/ -run FuzzOracleIndex -fuzz FuzzOracleIndex -fuzztime 20s
+	$(GO) test ./internal/mem/ -run FuzzAllocFrames -fuzz FuzzAllocFrames -fuzztime 20s
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime 20s
@@ -116,6 +118,8 @@ fuzz-smoke:
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run FuzzStage2Walk -fuzz FuzzStage2Walk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/audit/ -run FuzzOracleIndex -fuzz FuzzOracleIndex -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mem/ -run FuzzAllocFrames -fuzz FuzzAllocFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)

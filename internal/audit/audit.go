@@ -110,16 +110,14 @@ type Oracle struct {
 	// outside the oracle's live set without being a protection failure.
 	passThrough bool
 
-	live    map[pci.BDF]map[uint64]*Mapping
+	// live indexes each device's mappings by IOVA page (iova>>PageShift):
+	// a mapping is stored under every page it spans. Live mappings never
+	// share an IOVA page (the baseline allocator hands out distinct PFNs, an
+	// rIOMMU mapping owns a 2^30-byte rentry window) and DMA chunks never
+	// cross a page, so one lookup finds the only mapping that can contain a
+	// chunk.
+	live    map[pci.BDF]map[uint64]Mapping
 	retired map[pci.BDF][]Retired
-
-	// lastBDF/lastHit cache the mapping the previous chunk landed in. DMA
-	// chunks arrive in bursts against the same mapping (a ring's descriptor
-	// area, a packet buffer split at a page boundary), and live mappings
-	// never overlap, so a cache hit is exactly the mapping the linear scan
-	// would find. Invalidated whenever that mapping is retired.
-	lastBDF pci.BDF
-	lastHit *Mapping
 
 	// Aggregate counters. Checked counts verified DMA chunks; Violations
 	// counts every breach (Events holds only the first maxEvents).
@@ -142,7 +140,7 @@ func NewOracle(mode string, clk *cycles.Clock) *Oracle {
 	return &Oracle{
 		mode:     mode,
 		clk:      clk,
-		live:     make(map[pci.BDF]map[uint64]*Mapping),
+		live:     make(map[pci.BDF]map[uint64]Mapping),
 		retired:  make(map[pci.BDF][]Retired),
 		ByReason: make(map[string]uint64),
 	}
@@ -155,21 +153,30 @@ func (o *Oracle) Mode() string { return o.mode }
 // unprotected none/hwpt/swpt configurations, which never map anything).
 func (o *Oracle) SetPassThrough(v bool) { o.passThrough = v }
 
-// OnMap mirrors a successful driver map. A duplicate base IOVA retires the
-// previous mapping first (defensive: a best-effort device recovery can lose
-// an unmap).
+// pages returns the IOVA page range [first, last] a mapping spans. A
+// zero-size mapping still owns its first page, so it can be unmapped.
+func pages(iova uint64, size uint32) (first, last uint64) {
+	return iova >> mem.PageShift, (iova + uint64(max(size, 1)) - 1) >> mem.PageShift
+}
+
+// OnMap mirrors a successful driver map. A new mapping first retires every
+// live mapping on a page it covers (defensive: a best-effort device recovery
+// can lose an unmap), so overlapping maps resolve deterministically.
 func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Maps++
 	dev := o.live[bdf]
 	if dev == nil {
-		dev = make(map[uint64]*Mapping)
+		dev = make(map[uint64]Mapping)
 		o.live[bdf] = dev
 	}
-	if old, ok := dev[iova]; ok {
-		o.retire(bdf, old)
-		o.LiveNow--
+	m := Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()}
+	first, last := pages(iova, size)
+	for p := first; p <= last; p++ {
+		if old, ok := dev[p]; ok {
+			o.retire(dev, old)
+		}
+		dev[p] = m
 	}
-	dev[iova] = &Mapping{BDF: bdf, IOVA: iova, PA: pa, Size: size, Dir: dir, MapCycle: o.clk.Now()}
 	o.LiveNow++
 	if o.LiveNow > o.LivePeak {
 		o.LivePeak = o.LiveNow
@@ -180,30 +187,31 @@ func (o *Oracle) OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci
 func (o *Oracle) OnUnmap(bdf pci.BDF, iova uint64) {
 	o.Unmaps++
 	dev := o.live[bdf]
-	m, ok := dev[iova]
-	if !ok {
+	m, ok := dev[iova>>mem.PageShift]
+	if !ok || m.IOVA != iova {
 		o.UnmapMisses++
 		return
 	}
-	delete(dev, iova)
-	o.LiveNow--
-	o.retire(bdf, m)
+	o.retire(dev, m)
 }
 
-func (o *Oracle) retire(bdf pci.BDF, m *Mapping) {
-	if m == o.lastHit {
-		o.lastHit = nil
+// retire removes m from every page of the live index and retires it.
+func (o *Oracle) retire(dev map[uint64]Mapping, m Mapping) {
+	first, last := pages(m.IOVA, m.Size)
+	for p := first; p <= last; p++ {
+		delete(dev, p)
 	}
-	r := append(o.retired[bdf], Retired{Mapping: *m, UnmapCycle: o.clk.Now()})
+	o.LiveNow--
+	r := append(o.retired[m.BDF], Retired{Mapping: m, UnmapCycle: o.clk.Now()})
 	// Compact lazily, at twice the cap, so a teardown that retires a whole
 	// ring (8K mlx Rx buffers) pays a handful of copies rather than one
 	// full-window copy per unmap. Readers only ever need the newest
 	// retiredCap entries; the slack between cap and 2*cap just widens the
 	// stale-classification window, which errs on the informative side.
 	if len(r) >= 2*retiredCap {
-		r = append(r[:0:0], r[len(r)-retiredCap:]...)
+		r = r[:copy(r, r[len(r)-retiredCap:])]
 	}
-	o.retired[bdf] = r
+	o.retired[m.BDF] = r
 }
 
 // OnInvalidate mirrors a hardware-level invalidation (an IOTLB entry for the
@@ -216,31 +224,15 @@ func (o *Oracle) OnFlush() { o.InvFlushes++ }
 // VerifyDMA judges one translated DMA chunk: the engine calls it after the
 // protection hardware accepted the access and resolved it to pa, and the
 // oracle independently re-derives what should have happened. Chunks never
-// cross a 4 KiB IOVA boundary (dma.Engine splits them), so a chunk falls in
-// at most one live mapping.
+// cross a 4 KiB IOVA boundary (dma.Engine splits them), so the chunk's page
+// names the only live mapping that can contain it.
 func (o *Oracle) VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir) {
 	o.Checked++
 	if o.passThrough {
 		return
 	}
-	var m *Mapping
-	if c := o.lastHit; c != nil && o.lastBDF == bdf && iova >= c.IOVA && iova < c.IOVA+uint64(c.Size) {
-		m = c
-	} else {
-		for _, cand := range o.live[bdf] {
-			// Live base IOVAs never overlap (distinct allocator ranges /
-			// rentries), so at most one mapping contains the chunk start and
-			// map-iteration order cannot affect the outcome.
-			if iova >= cand.IOVA && iova < cand.IOVA+uint64(cand.Size) {
-				m = cand
-				break
-			}
-		}
-		if m != nil {
-			o.lastBDF, o.lastHit = bdf, m
-		}
-	}
-	if m != nil {
+	m, ok := o.live[bdf][iova>>mem.PageShift]
+	if ok && iova >= m.IOVA && iova < m.IOVA+uint64(m.Size) {
 		switch {
 		case !m.Dir.Allows(dir):
 			o.violate(Violation{Reason: ReasonDirection, BDF: bdf, IOVA: iova, Size: size, Dir: dir})
@@ -289,8 +281,10 @@ func (o *Oracle) violate(v Violation) {
 func (o *Oracle) LiveSorted(bdf pci.BDF) []Mapping {
 	dev := o.live[bdf]
 	out := make([]Mapping, 0, len(dev))
-	for _, m := range dev {
-		out = append(out, *m)
+	for p, m := range dev {
+		if p == m.IOVA>>mem.PageShift {
+			out = append(out, m)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].IOVA < out[j].IOVA })
 	return out

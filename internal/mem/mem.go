@@ -79,6 +79,7 @@ type PhysMem struct {
 	free      []PFN // LIFO stack of explicitly freed frames
 	watermark PFN   // lazy mode: lowest never-allocated frame
 	lazy      bool  // free list not materialized (the common case)
+	lowFree   PFN   // first-free hint: every frame in [1, lowFree) is allocated
 	alloced   []bool
 	pinCount  []uint32
 	dirty     []bool // dirty[f]: frame f's bytes may differ from zero
@@ -146,6 +147,7 @@ func New(size uint64) (*PhysMem, error) {
 		frames:    int(size / PageSize),
 		watermark: 1, // frame 0 is reserved
 		lazy:      true,
+		lowFree:   1,
 		alloced:   bk.alloced,
 		pinCount:  bk.pinCount,
 		dirty:     bk.dirty,
@@ -291,9 +293,14 @@ func (m *PhysMem) AllocFrames(n int) (PFN, error) {
 	if n == 1 {
 		return m.AllocFrame()
 	}
-	// First-fit scan for a contiguous run of free frames.
+	// First-fit scan for a contiguous run of free frames. No free frame lies
+	// below the hint, so starting there finds the same lowest run as a scan
+	// from frame 1.
+	for int(m.lowFree) < m.frames && m.alloced[m.lowFree] {
+		m.lowFree++
+	}
 	run := 0
-	for f := 1; f < m.frames; f++ {
+	for f := int(m.lowFree); f < m.frames; f++ {
 		if m.alloced[f] {
 			run = 0
 			continue
@@ -363,6 +370,9 @@ func (m *PhysMem) FreeFrame(f PFN) error {
 	}
 	m.alloced[f] = false
 	m.free = append(m.free, f)
+	if f < m.lowFree {
+		m.lowFree = f
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -367,5 +368,172 @@ func TestWriteReadProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refFrames is the frame allocator the lazy free list and the first-free
+// hint replaced, kept as the reference FuzzAllocFrames compares against: an
+// eager free list (never-allocated frames in descending order, then freed
+// frames in push order) popped from the end, and a contiguous allocation
+// that scans for a first fit from frame 1 and swap-removes its frames.
+type refFrames struct {
+	alloced []bool
+	free    []PFN
+}
+
+func newRefFrames(frames int) *refFrames {
+	r := &refFrames{alloced: make([]bool, frames)}
+	r.alloced[0] = true
+	for f := frames - 1; f >= 1; f-- {
+		r.free = append(r.free, PFN(f))
+	}
+	return r
+}
+
+func (r *refFrames) allocFrames(n int) (PFN, bool) {
+	if n == 1 {
+		if len(r.free) == 0 {
+			return 0, false
+		}
+		f := r.free[len(r.free)-1]
+		r.free = r.free[:len(r.free)-1]
+		r.alloced[f] = true
+		return f, true
+	}
+	run := 0
+	for f := 1; f < len(r.alloced); f++ {
+		if r.alloced[f] {
+			run = 0
+			continue
+		}
+		if run++; run == n {
+			first := PFN(f - n + 1)
+			for g := first; g <= PFN(f); g++ {
+				i := slices.Index(r.free, g)
+				r.free[i] = r.free[len(r.free)-1]
+				r.free = r.free[:len(r.free)-1]
+				r.alloced[g] = true
+			}
+			return first, true
+		}
+	}
+	return 0, false
+}
+
+func (r *refFrames) freeFrame(f PFN) bool {
+	if f == 0 || int(f) >= len(r.alloced) || !r.alloced[f] {
+		return false
+	}
+	r.alloced[f] = false
+	r.free = append(r.free, f)
+	return true
+}
+
+// FuzzAllocFrames drives PhysMem and the frame-1 first-fit reference with
+// the same random AllocFrame/AllocFrames/FreeFrame sequence and requires the
+// same PFNs, the same failures and zeroed frames throughout. The first byte
+// sizes the memory; if its top bit is set, the memory is built on a backing
+// recycled from a fully allocated, dirtied and materialized earlier life.
+// Each following op is 2 bytes; op 3 forces the lazy free list to
+// materialize.
+func FuzzAllocFrames(f *testing.F) {
+	f.Add([]byte{8, 1, 1, 1, 1, 2, 0, 2, 1, 1, 1})
+	f.Add([]byte{16, 1, 1, 1, 1, 2, 0, 2, 0, 1, 1})
+	f.Add([]byte{0x90, 0, 0, 0, 0, 0, 0, 2, 1, 1, 2, 3, 1, 0, 3, 0, 1, 3})
+	f.Add([]byte{24, 0, 0, 0, 0, 0, 0, 2, 1, 3, 1, 1, 3, 0, 0, 2, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		frames := 4 + int(ops[0]&0x3f)
+		size := uint64(frames) * PageSize
+		if ops[0]&0x80 != 0 {
+			old := mustMem(t, size)
+			for g := PFN(1); g < PFN(frames); g++ {
+				if _, err := old.AllocFrame(); err != nil {
+					t.Fatal(err)
+				}
+				if err := old.Fill(g.PA(), PageSize, 0xee); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for g := PFN(2); g < PFN(frames); g += 2 {
+				if err := old.FreeFrame(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			old.materialize()
+			old.Release()
+		}
+		m := mustMem(t, size)
+		defer m.Release()
+		ref := newRefFrames(frames)
+		var held []PFN
+		for ops = ops[1:]; len(ops) >= 2; ops = ops[2:] {
+			switch ops[0] % 4 {
+			case 0, 1:
+				n := 1
+				if ops[0]%4 == 1 {
+					n = 1 + int(ops[1]%5)
+				}
+				want, ok := ref.allocFrames(n)
+				got, err := m.AllocFrames(n)
+				if ok != (err == nil) || ok && got != want {
+					t.Fatalf("AllocFrames(%d) = %d, %v; reference %d, %v", n, got, err, want, ok)
+				}
+				if !ok {
+					continue
+				}
+				b, err := m.Read(got.PA(), uint64(n)*PageSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slices.ContainsFunc(b, func(x byte) bool { return x != 0 }) {
+					t.Fatalf("AllocFrames(%d) = %d not zeroed", n, got)
+				}
+				if err := m.Fill(got.PA(), uint64(n)*PageSize, 0xa5); err != nil {
+					t.Fatal(err)
+				}
+				for g := got; g < got+PFN(n); g++ {
+					held = append(held, g)
+				}
+			case 2:
+				g := PFN(ops[1]) % PFN(frames)
+				if len(held) > 0 && ops[0]&4 == 0 {
+					g = held[int(ops[1])%len(held)]
+				}
+				if ok, err := ref.freeFrame(g), m.FreeFrame(g); ok != (err == nil) {
+					t.Fatalf("FreeFrame(%d) = %v, reference ok=%v", g, err, ok)
+				}
+				held = slices.DeleteFunc(held, func(h PFN) bool { return h == g })
+			case 3:
+				if m.lazy {
+					m.materialize()
+				}
+			}
+			if m.FreeFrames() != len(ref.free) {
+				t.Fatalf("FreeFrames = %d, reference %d", m.FreeFrames(), len(ref.free))
+			}
+			for g := PFN(1); g < m.lowFree; g++ {
+				if !m.alloced[g] {
+					t.Fatalf("frame %d below the first-free hint %d is free", g, m.lowFree)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkAllocFramesSteer times the traffic engine's steering-table set-up
+// shape: 2,048 four-frame AllocFrames calls on a fresh memory.
+func BenchmarkAllocFramesSteer(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := mustMem(b, 16384*PageSize)
+		for j := 0; j < 2048; j++ {
+			if _, err := m.AllocFrames(4); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Release()
 	}
 }

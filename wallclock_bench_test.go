@@ -15,6 +15,7 @@ package riommu
 import (
 	"testing"
 
+	"riommu/internal/audit"
 	"riommu/internal/campaign"
 	"riommu/internal/core"
 	"riommu/internal/cycles"
@@ -316,6 +317,40 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("warm radix walk allocates %.1f objects per op, want 0", n)
+		}
+	})
+
+	t.Run("audit-verify", func(t *testing.T) {
+		// The shadow oracle's page index: a VerifyDMA hit against a device
+		// holding 10K live mappings, and a warmed map+unmap cycle, must both
+		// stay allocation-free.
+		o := audit.NewOracle("strict", &cycles.Clock{})
+		bdf := pci.NewBDF(0, 3, 0)
+		for i := uint64(1); i <= 10000; i++ {
+			iovaAddr := i<<mem.PageShift | 0x100
+			o.OnMap(bdf, iovaAddr, mem.PA(iovaAddr), 1500, pci.DirBidi)
+		}
+		const hit = 5000<<mem.PageShift | 0x140
+		if n := testing.AllocsPerRun(200, func() {
+			o.VerifyDMA(bdf, hit, mem.PA(hit), 64, pci.DirFromDevice)
+		}); n != 0 {
+			t.Errorf("oracle VerifyDMA hit allocates %.1f objects per op, want 0", n)
+		}
+		if o.Violations != 0 {
+			t.Fatalf("in-bounds hit flagged: %+v", o.Events)
+		}
+		const spare = 20000 << mem.PageShift
+		cycle := func() {
+			o.OnMap(bdf, spare, mem.PA(spare), 1500, pci.DirBidi)
+			o.OnUnmap(bdf, spare)
+		}
+		// Warm past the tombstone window's first compaction, so the retired
+		// slice has reached its steady-state capacity.
+		for i := 0; i < 4096; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("warmed oracle OnMap+OnUnmap allocates %.1f objects per op, want 0", n)
 		}
 	})
 
