@@ -98,8 +98,11 @@ traffic: build
 		-rounds 16 -rates 0 -modes strict,riommu -churn 200000 > /dev/null
 
 # Short bounded runs of the fault-determinism, IRTE-allocator, stage-2 walk,
-# connection-churn, audit-oracle index, frame-allocator, checkpoint-loader and
-# trace-file parser fuzzers (the seed corpora also run as part of plain `go test`).
+# connection-churn, audit-oracle index, frame-allocator, checkpoint-loader,
+# trace-file parser, rIOMMU IOVA-packing and rtranslate, and multi-queue ring
+# layout fuzzers (the seed corpora also run as part of plain `go test`). The
+# patterns for the last three are anchored: internal/core holds two targets,
+# and -fuzz must match exactly one.
 fuzz:
 	$(GO) test ./internal/sim/ -run FuzzFaultDeterminism -fuzz FuzzFaultDeterminism -fuzztime 20s
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime 20s
@@ -110,6 +113,9 @@ fuzz:
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime 20s
+	$(GO) test ./internal/core/ -run '^FuzzIOVAPacking$$' -fuzz '^FuzzIOVAPacking$$' -fuzztime 20s
+	$(GO) test ./internal/core/ -run '^FuzzRtranslate$$' -fuzz '^FuzzRtranslate$$' -fuzztime 20s
+	$(GO) test ./internal/driver/ -run '^FuzzMQNICRingLayout$$' -fuzz '^FuzzMQNICRingLayout$$' -fuzztime 20s
 
 # fuzz-smoke is the CI-sized variant: long enough to execute the engines on
 # generated inputs, short enough for every push.
@@ -123,6 +129,9 @@ fuzz-smoke:
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^FuzzIOVAPacking$$' -fuzz '^FuzzIOVAPacking$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^FuzzRtranslate$$' -fuzz '^FuzzRtranslate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/driver/ -run '^FuzzMQNICRingLayout$$' -fuzz '^FuzzMQNICRingLayout$$' -fuzztime $(FUZZTIME)
 
 # bench-json regenerates the committed benchmark golden. Run it (and commit
 # the result) whenever an intentional change moves any cell metric. The

@@ -129,8 +129,6 @@ type Oracle struct {
 	// Mirror-traffic counters (oracle health / test introspection).
 	Maps, Unmaps      uint64
 	UnmapMisses       uint64 // unmap of an IOVA the oracle never saw mapped
-	InvEntries        uint64 // hardware invalidations observed
-	InvFlushes        uint64 // global flushes observed
 	LiveNow, LivePeak int
 }
 
@@ -213,13 +211,6 @@ func (o *Oracle) retire(dev map[uint64]Mapping, m Mapping) {
 	}
 	o.retired[m.BDF] = r
 }
-
-// OnInvalidate mirrors a hardware-level invalidation (an IOTLB entry for the
-// baseline, a ring's rIOTLB entry for the rIOMMU). Purely statistical.
-func (o *Oracle) OnInvalidate(pci.BDF, uint64) { o.InvEntries++ }
-
-// OnFlush mirrors a global IOTLB flush. Purely statistical.
-func (o *Oracle) OnFlush() { o.InvFlushes++ }
 
 // VerifyDMA judges one translated DMA chunk: the engine calls it after the
 // protection hardware accepted the access and resolved it to pa, and the

@@ -11,7 +11,7 @@ import (
 
 // Interrupt violation reasons. A violation is a *delivered* interrupt the
 // shadow table says should not have reached that core; blocked messages are
-// the hardware working and are only counted.
+// the hardware working, and the remapper counts them (intremap.Stats).
 const (
 	// IntReasonStale: delivery through an IRTE the OS had already freed —
 	// the deferred-IEC window (interrupt analog of the stale-IOTLB window).
@@ -90,10 +90,8 @@ type IntOracle struct {
 
 	// Aggregate counters.
 	Delivered  uint64 // interrupts that reached a core
-	Blocked    uint64 // messages the hardware refused
 	Violations uint64 // delivered interrupts the shadow table disowns
 	ByReason   map[string]uint64
-	ByOutcome  map[string]uint64 // blocked counts keyed by intremap.Outcome.String()
 	Events     []IntViolation
 
 	// Mirror-traffic counters.
@@ -105,11 +103,10 @@ type IntOracle struct {
 // clk is read (never charged) to stamp events.
 func NewIntOracle(mode string, clk *cycles.Clock) *IntOracle {
 	return &IntOracle{
-		mode:      mode,
-		clk:       clk,
-		live:      make(map[int]intShadow),
-		ByReason:  make(map[string]uint64),
-		ByOutcome: make(map[string]uint64),
+		mode:     mode,
+		clk:      clk,
+		live:     make(map[int]intShadow),
+		ByReason: make(map[string]uint64),
 	}
 }
 
@@ -187,12 +184,6 @@ func (o *IntOracle) OnIntDelivered(d intremap.Delivery) {
 		}
 	}
 	o.violate(IntViolation{Reason: IntReasonUnmapped, BDF: d.Source, Index: d.Index, Vector: d.Vector, Core: d.Core})
-}
-
-// OnIntBlocked counts a refused message (the hardware doing its job).
-func (o *IntOracle) OnIntBlocked(_ pci.BDF, _ int, out intremap.Outcome) {
-	o.Blocked++
-	o.ByOutcome[out.String()]++
 }
 
 // LiveSortedFor returns bdf's live IRTE indices in ascending order — the

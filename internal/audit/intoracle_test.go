@@ -43,11 +43,8 @@ func TestIntOracleSpoofBlockedAndCounted(t *testing.T) {
 	if out := r.Deliver(evil, idx, 0, 0); out != intremap.BlockedSourceMismatch {
 		t.Fatalf("spoof not blocked: %v", out)
 	}
-	if o.Violations != 0 || o.Blocked != 1 {
-		t.Fatalf("blocked spoof misjudged: violations=%d blocked=%d", o.Violations, o.Blocked)
-	}
-	if o.ByOutcome[intremap.BlockedSourceMismatch.String()] != 1 {
-		t.Fatalf("outcome classification: %+v", o.ByOutcome)
+	if st := r.Stats(); o.Violations != 0 || st.BlockedSourceMismatch != 1 {
+		t.Fatalf("blocked spoof misjudged: violations=%d source-mismatch blocks=%d", o.Violations, st.BlockedSourceMismatch)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"riommu/internal/cycles"
+	"riommu/internal/dma"
 	"riommu/internal/faults"
 	"riommu/internal/iommu"
 	"riommu/internal/iotlb"
@@ -60,14 +61,6 @@ func (m Mode) Deferred() bool { return m == Defer || m == DeferPlus }
 // the entire IOTLB (§1, §3.2).
 const DeferBatch = 250
 
-// MapObserver mirrors successful map/unmap operations into an external
-// shadow tracker; *audit.Oracle satisfies it. Defined locally so the
-// dependency points from the auditor to the audited.
-type MapObserver interface {
-	OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir)
-	OnUnmap(bdf pci.BDF, iova uint64)
-}
-
 // Driver is the per-device baseline IOMMU OS driver.
 type Driver struct {
 	mode  Mode
@@ -80,7 +73,7 @@ type Driver struct {
 	space *pagetable.Space
 	alloc iova.Allocator
 	invq  *iommu.InvQueue
-	aud   MapObserver
+	aud   dma.MapObserver
 
 	deferQ     []deferred
 	deferBatch int
@@ -134,7 +127,7 @@ func New(mode Mode, clk *cycles.Clock, model *cycles.Model, mm *mem.PhysMem, hw 
 func (d *Driver) SetFaults(f *faults.Engine) { d.invq.SetFaults(f) }
 
 // SetAudit installs a map/unmap observer (nil disables mirroring).
-func (d *Driver) SetAudit(o MapObserver) { d.aud = o }
+func (d *Driver) SetAudit(o dma.MapObserver) { d.aud = o }
 
 // InvQueue exposes the invalidation queue (fault-injection statistics).
 func (d *Driver) InvQueue() *iommu.InvQueue { return d.invq }

@@ -61,8 +61,8 @@ func TestVectorStormContained(t *testing.T) {
 	if orc.Violations != 0 {
 		t.Fatalf("storm produced delivered violations: %+v", orc.ByReason)
 	}
-	if orc.Blocked == 0 {
-		t.Fatal("oracle saw no blocked messages")
+	if rem.Stats().Blocked() == 0 {
+		t.Fatal("remapper blocked no messages")
 	}
 }
 
@@ -81,7 +81,7 @@ func TestSpoofBlockedBySourceID(t *testing.T) {
 	if h.Stats.Landed != 0 || orc.Violations != 0 {
 		t.Fatalf("spoof landed: %+v viol %+v", h.Stats, orc.ByReason)
 	}
-	if got := orc.ByOutcome[intremap.BlockedSourceMismatch.String()]; got != 4 {
+	if got := rem.Stats().BlockedSourceMismatch; got != 4 {
 		t.Fatalf("source-mismatch blocks = %d, want 4", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"riommu/internal/cycles"
+	"riommu/internal/dma"
 	"riommu/internal/mem"
 	"riommu/internal/pci"
 )
@@ -14,15 +15,6 @@ import (
 // (r.nmapped == r.size). As with other ring-based devices, overflow is legal
 // and simply means the caller must slow down (§4, Applicability).
 var ErrOverflow = errors.New("riommu: ring flat table overflow")
-
-// MapObserver mirrors successful map/unmap operations into an external
-// shadow tracker; *audit.Oracle satisfies it. The driver defines the
-// interface locally so the dependency points from the auditor to the
-// audited.
-type MapObserver interface {
-	OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir)
-	OnUnmap(bdf pci.BDF, iova uint64)
-}
 
 // Driver is the rIOMMU OS driver of Figure 11, bound to one rDEVICE. Its
 // map allocates an IOVA by incrementing two integers, writes one rPTE, and
@@ -35,7 +27,7 @@ type Driver struct {
 	mm    *mem.PhysMem
 	hw    *RIOMMU
 	dev   *Device
-	aud   MapObserver
+	aud   dma.MapObserver
 
 	// coherent selects the riommu variant: true = riommu (I/O page walks
 	// coherent with CPU caches), false = riommu− (sync_mem adds a cacheline
@@ -58,7 +50,7 @@ func NewDriver(clk *cycles.Clock, model *cycles.Model, mm *mem.PhysMem, hw *RIOM
 func (d *Driver) Device() *Device { return d.dev }
 
 // SetAudit installs a map/unmap observer (nil disables mirroring).
-func (d *Driver) SetAudit(o MapObserver) { d.aud = o }
+func (d *Driver) SetAudit(o dma.MapObserver) { d.aud = o }
 
 // Coherent reports whether this is the riommu (true) or riommu− (false) variant.
 func (d *Driver) Coherent() bool { return d.coherent }

@@ -187,7 +187,6 @@ type RIOMMU struct {
 	tlb     riotlb
 	tlbLive int // slots with present set (TLBEntries)
 	stats   Stats
-	aud     InvObserver
 
 	// lastKey/lastSlot cache the most recently used rIOTLB slot so that the
 	// common case — a device streaming through one ring — resolves with zero
@@ -459,15 +458,6 @@ func (u *RIOMMU) TranslateBatch(bdf pci.BDF, reqs []dma.Req, out []dma.Resp) int
 	return len(reqs)
 }
 
-// InvObserver mirrors hardware invalidations into an external shadow
-// tracker; *audit.Oracle satisfies it.
-type InvObserver interface {
-	OnInvalidate(bdf pci.BDF, token uint64)
-}
-
-// SetAudit installs an invalidation observer (nil disables mirroring).
-func (u *RIOMMU) SetAudit(o InvObserver) { u.aud = o }
-
 // invalidate drops the ring's single rIOTLB entry (the end-of-burst
 // operation issued by the OS driver's unmap).
 func (u *RIOMMU) invalidate(bdf pci.BDF, rid uint16) {
@@ -476,7 +466,4 @@ func (u *RIOMMU) invalidate(bdf pci.BDF, rid uint16) {
 		u.tlbLive--
 	}
 	u.stats.Invalidations++
-	if u.aud != nil {
-		u.aud.OnInvalidate(bdf, uint64(rid))
-	}
 }

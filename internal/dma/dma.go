@@ -155,6 +155,16 @@ type Auditor interface {
 	VerifyDMA(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir)
 }
 
+// MapObserver mirrors a protection driver's successful map/unmap operations
+// into an external shadow tracker; *audit.Oracle satisfies it. Together with
+// Auditor it is the whole DMA-side observation path: the oracle learns what
+// the OS mapped from here and judges what the device touched through
+// Auditor.
+type MapObserver interface {
+	OnMap(bdf pci.BDF, iova uint64, pa mem.PA, size uint32, dir pci.Dir)
+	OnUnmap(bdf pci.BDF, iova uint64)
+}
+
 // Engine performs device-initiated memory accesses through a Translator.
 type Engine struct {
 	mm  *mem.PhysMem

@@ -62,7 +62,6 @@ type Observer interface {
 	OnIRTEFree(index int, e IRTE)
 	OnIRTERetarget(index int, e IRTE)
 	OnIntDelivered(d Delivery)
-	OnIntBlocked(src pci.BDF, index int, o Outcome)
 }
 
 // Stats counts remapper activity. All counters are cumulative.
@@ -152,9 +151,9 @@ func New(cfg Config, cpu, dev *cycles.Clock, model *cycles.Model) (*Remapper, er
 // SetObserver installs the shadow oracle mirror.
 func (r *Remapper) SetObserver(o Observer) { r.obs = o }
 
-// SetSink installs a delivery callback (the equivalence recorder, or the
-// multicore engine's per-core accounting). Called only for delivered
-// interrupts, after clock charges.
+// SetSink installs a delivery callback (the equivalence recorder in
+// internal/check). Called only for delivered interrupts, after clock
+// charges.
 func (r *Remapper) SetSink(fn func(Delivery)) { r.sink = fn }
 
 // Stats returns a copy of the counters.
@@ -315,7 +314,6 @@ func (r *Remapper) Deliver(src pci.BDF, index int, hintVector uint8, hintCore in
 		// Caught by the geometry check before any table fetch.
 		r.dev.Charge(cycles.IntRemap, r.model.IRTECacheHit)
 		r.stats.BlockedBadIndex++
-		r.blocked(src, index, BlockedBadIndex)
 		return BlockedBadIndex
 	}
 	e, cached := r.iec[index]
@@ -332,13 +330,11 @@ func (r *Remapper) Deliver(src pci.BDF, index int, hintVector uint8, hintCore in
 	}
 	if !e.Present {
 		r.stats.BlockedNotPresent++
-		r.blocked(src, index, BlockedNotPresent)
 		return BlockedNotPresent
 	}
 	if e.BDF != src {
 		// Source-id verification (SVT): requester must own the IRTE.
 		r.stats.BlockedSourceMismatch++
-		r.blocked(src, index, BlockedSourceMismatch)
 		return BlockedSourceMismatch
 	}
 	cur, _ := r.table.At(index)
@@ -363,11 +359,5 @@ func (r *Remapper) emit(d Delivery) {
 	}
 	if r.obs != nil {
 		r.obs.OnIntDelivered(d)
-	}
-}
-
-func (r *Remapper) blocked(src pci.BDF, index int, o Outcome) {
-	if r.obs != nil {
-		r.obs.OnIntBlocked(src, index, o)
 	}
 }

@@ -58,24 +58,10 @@ type InvQueue struct {
 	delayedGlobal bool
 	// Dropped and Delayed count perturbed invalidation descriptors.
 	Dropped, Delayed uint64
-
-	aud InvObserver
-}
-
-// InvObserver mirrors applied invalidations into an external shadow tracker;
-// *audit.Oracle satisfies it. Only invalidations that actually reach the
-// IOTLB are mirrored — dropped or delayed descriptors are not, so the
-// observer sees hardware truth, not OS intent.
-type InvObserver interface {
-	OnInvalidate(bdf pci.BDF, iovaPFN uint64)
-	OnFlush()
 }
 
 // SetFaults installs the fault-injection engine (nil disables injection).
 func (q *InvQueue) SetFaults(f *faults.Engine) { q.inj = f }
-
-// SetAudit installs an invalidation observer (nil disables mirroring).
-func (q *InvQueue) SetAudit(o InvObserver) { q.aud = o }
 
 // NewInvQueue allocates a one-page queue (256 descriptors) plus a status word.
 func NewInvQueue(mm *mem.PhysMem, tlb *iotlb.IOTLB) (*InvQueue, error) {
@@ -163,16 +149,10 @@ func (q *InvQueue) drain() error {
 		q.tlb.Flush()
 		q.delayedGlobal = false
 		q.Processed++
-		if q.aud != nil {
-			q.aud.OnFlush()
-		}
 	}
 	for _, k := range q.delayed {
 		q.tlb.Invalidate(k)
 		q.Processed++
-		if q.aud != nil {
-			q.aud.OnInvalidate(k.BDF, k.IOVAPFN)
-		}
 	}
 	q.delayed = q.delayed[:0]
 	for q.head != q.tail {
@@ -196,9 +176,6 @@ func (q *InvQueue) drain() error {
 			} else {
 				q.tlb.Invalidate(key)
 				q.Processed++
-				if q.aud != nil {
-					q.aud.OnInvalidate(key.BDF, w1)
-				}
 			}
 		case invTypeGlobal:
 			if q.inj.DropInvalidation(0, 0) {
@@ -209,9 +186,6 @@ func (q *InvQueue) drain() error {
 			} else {
 				q.tlb.Flush()
 				q.Processed++
-				if q.aud != nil {
-					q.aud.OnFlush()
-				}
 			}
 		case invTypeWait:
 			if err := q.mm.WriteU64(mem.PA(w1), 1); err != nil {

@@ -2,20 +2,18 @@ package sim
 
 import (
 	"riommu/internal/audit"
-	"riommu/internal/baseline"
-	"riommu/internal/core"
 	"riommu/internal/dma"
 	"riommu/internal/driver"
 	"riommu/internal/pci"
 )
 
-// EnableAudit installs a shadow translation oracle and mirrors every layer
-// into it: map/unmap from each protection driver (existing and future), the
-// hardware-side invalidations that actually reach the IOTLB/rIOTLB, and —
-// via the DMA engine — every translated access, which the oracle judges
-// against its independent record. The oracle never charges a clock and never
-// consumes randomness, so an audited system's measured metrics are identical
-// to an unaudited one's.
+// EnableAudit installs a shadow translation oracle and feeds it the two
+// halves of the DMA-side observation path: map/unmap from each protection
+// driver (existing ones here, later ones through wire) as dma.MapObserver,
+// and every translated access from the DMA engine as dma.Auditor, which the
+// oracle judges against its independent record. The oracle never charges a
+// clock and never consumes randomness, so an audited system's measured
+// metrics are identical to an unaudited one's.
 //
 // In the unprotected modes (none, hwpt, swpt) the oracle runs in
 // pass-through: drivers map nothing there, so every DMA is outside its live
@@ -31,34 +29,10 @@ func (s *System) EnableAudit() *audit.Oracle {
 	}
 	s.Auditor = orc
 	s.Eng.SetAudit(orc)
-	if s.RHW != nil {
-		s.RHW.SetAudit(orc)
-	}
 	for _, p := range s.Protections {
-		s.auditProtection(p)
-	}
-	orig := s.protFor
-	s.protFor = func(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
-		p, err := orig(bdf, ringSizes)
-		if err == nil {
-			s.auditProtection(p)
-		}
-		return p, err
+		s.wire(p)
 	}
 	return orc
-}
-
-// auditProtection mirrors one protection driver into the oracle. Only the
-// mapping-maintaining drivers observe anything; pass-through protections have
-// nothing to mirror.
-func (s *System) auditProtection(p driver.Protection) {
-	switch d := p.(type) {
-	case *baseline.Driver:
-		d.SetAudit(s.Auditor)
-		d.InvQueue().SetAudit(s.Auditor)
-	case *core.Driver:
-		d.SetAudit(s.Auditor)
-	}
 }
 
 // routeIsolator quarantines one device by splicing a Blackhole into its

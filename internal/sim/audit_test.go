@@ -3,7 +3,12 @@ package sim
 import (
 	"testing"
 
+	"riommu/internal/audit"
+	"riommu/internal/baseline"
 	"riommu/internal/device"
+	"riommu/internal/driver"
+	"riommu/internal/faults"
+	"riommu/internal/mem"
 	"riommu/internal/pci"
 )
 
@@ -86,17 +91,87 @@ func TestAuditPassThroughModes(t *testing.T) {
 	}
 }
 
-// TestAuditHooksRIOMMUInvalidations: the rIOMMU's end-of-burst invalidations
-// must be mirrored into the oracle.
-func TestAuditHooksRIOMMUInvalidations(t *testing.T) {
-	sys, err := NewSystem(RIOMMU, 1<<15)
-	if err != nil {
-		t.Fatal(err)
+// TestWireInstrumentsEveryProtection: a baseline protection driver reaches
+// the oracle and the fault engine however it was built — attached before
+// EnableFaults and EnableAudit (in either order, so each one's re-wiring is
+// exercised on its own), attached after them, or returned by
+// DegradeToStrict.
+func TestWireInstrumentsEveryProtection(t *testing.T) {
+	var cfg faults.Config
+	cfg.Rates[faults.InvDrop] = 1
+	instrument := func(sys *System) *audit.Oracle {
+		sys.EnableFaults(cfg)
+		return sys.EnableAudit()
 	}
-	orc := sys.EnableAudit()
-	nicWorkload(t, sys, 10)
-	if orc.InvEntries == 0 {
-		t.Error("no rIOTLB invalidations mirrored")
+	auditFirst := func(sys *System) *audit.Oracle {
+		orc := sys.EnableAudit()
+		sys.EnableFaults(cfg)
+		return orc
+	}
+	attach := func(t *testing.T, sys *System) driver.Protection {
+		t.Helper()
+		if _, _, err := sys.AttachNIC(device.ProfileBRCM, auditBDF); err != nil {
+			t.Fatal(err)
+		}
+		return sys.Protections[auditBDF]
+	}
+	cases := []struct {
+		name  string
+		mode  Mode
+		build func(*testing.T, *System) (driver.Protection, *audit.Oracle)
+	}{
+		{"attached-before", Strict, func(t *testing.T, sys *System) (driver.Protection, *audit.Oracle) {
+			p := attach(t, sys)
+			return p, instrument(sys)
+		}},
+		{"attached-before-audit-first", Strict, func(t *testing.T, sys *System) (driver.Protection, *audit.Oracle) {
+			p := attach(t, sys)
+			return p, auditFirst(sys)
+		}},
+		{"attached-after", Strict, func(t *testing.T, sys *System) (driver.Protection, *audit.Oracle) {
+			orc := instrument(sys)
+			return attach(t, sys), orc
+		}},
+		{"degraded", RIOMMU, func(t *testing.T, sys *System) (driver.Protection, *audit.Oracle) {
+			orc := instrument(sys)
+			p, err := sys.DegradeToStrict(auditBDF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, orc
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(tc.mode, 1<<15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, orc := tc.build(t, sys)
+			bd, ok := p.(*baseline.Driver)
+			if !ok {
+				t.Fatalf("protection is %T, want *baseline.Driver", p)
+			}
+			var iovas [2]uint64
+			for i := range iovas {
+				f, err := sys.Mem.AllocFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if iovas[i], err = bd.Map(0, mem.PA(f)<<mem.PageShift, 512, pci.DirBidi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bd.Unmap(0, iovas[0], 512, true); err != nil {
+				t.Fatal(err)
+			}
+			if len(orc.LiveSorted(auditBDF)) == 0 {
+				t.Error("oracle saw none of the driver's maps")
+			}
+			if bd.InvQueue().Dropped == 0 {
+				t.Error("invalidation queue has no fault engine: nothing dropped at rate 1")
+			}
+		})
 	}
 }
 

@@ -17,26 +17,14 @@ import (
 // redirection; device models reach it from there for descriptor flips and
 // hangs), simulated physical memory (read/write corruption, poisoned
 // cachelines), and the invalidation queue of every baseline protection
-// driver — both the ones already created and the ones created later.
+// driver — the ones already created here, later ones through wire.
 func (s *System) EnableFaults(cfg faults.Config) *faults.Engine {
 	f := faults.New(cfg)
 	s.FaultEng = f
 	s.Eng.SetFaults(f)
 	s.Mem.SetFaultHook(f)
 	for _, p := range s.Protections {
-		if bd, ok := p.(*baseline.Driver); ok {
-			bd.SetFaults(f)
-		}
-	}
-	orig := s.protFor
-	s.protFor = func(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
-		p, err := orig(bdf, ringSizes)
-		if err == nil {
-			if bd, ok := p.(*baseline.Driver); ok {
-				bd.SetFaults(f)
-			}
-		}
-		return p, err
+		s.wire(p)
 	}
 	return f
 }
@@ -71,12 +59,7 @@ func (s *System) DegradeToStrict(bdf pci.BDF) (driver.Protection, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.FaultEng != nil {
-		prot.SetFaults(s.FaultEng)
-	}
-	if s.Auditor != nil {
-		s.auditProtection(prot)
-	}
+	s.wire(prot)
 	s.Protections[bdf] = prot
 	return prot, nil
 }

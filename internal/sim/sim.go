@@ -94,6 +94,12 @@ func BaselineModes() []Mode {
 	return []Mode{Strict, StrictPlus, Defer, DeferPlus}
 }
 
+// baselineModes maps the four Linux baseline modes onto their drivers.
+var baselineModes = map[Mode]baseline.Mode{
+	Strict: baseline.Strict, StrictPlus: baseline.StrictPlus,
+	Defer: baseline.Defer, DeferPlus: baseline.DeferPlus,
+}
+
 // System is a fully wired simulated machine in one protection mode.
 type System struct {
 	Mode  Mode
@@ -128,8 +134,6 @@ type System struct {
 	// so experiments can reach mode-specific knobs (e.g. the deferred
 	// invalidation batch size).
 	Protections map[pci.BDF]driver.Protection
-
-	protFor func(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error)
 }
 
 // NewSystem builds a system with memPages pages of simulated memory.
@@ -151,60 +155,19 @@ func NewSystem(mode Mode, memPages uint64) (*System, error) {
 	switch mode {
 	case None:
 		s.Eng = dma.NewEngine(mm, iommu.Identity{})
-		s.protFor = func(pci.BDF, []uint32) (driver.Protection, error) {
-			return driver.NoProtection{}, nil
-		}
 
-	case HWpt:
+	case HWpt, SWpt, Strict, StrictPlus, Defer, DeferPlus:
 		hier, err := pagetable.NewHierarchy(mm)
 		if err != nil {
 			return nil, err
 		}
 		s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
-		s.BaseHW.PassThrough = true
+		s.BaseHW.PassThrough = mode == HWpt
 		s.Eng = dma.NewEngine(mm, s.BaseHW)
-		s.protFor = func(pci.BDF, []uint32) (driver.Protection, error) {
-			return driver.PassThrough{Clk: s.CPU, Model: &s.Model}, nil
-		}
-
-	case SWpt:
-		hier, err := pagetable.NewHierarchy(mm)
-		if err != nil {
-			return nil, err
-		}
-		s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
-		s.Eng = dma.NewEngine(mm, s.BaseHW)
-		s.protFor = func(bdf pci.BDF, _ []uint32) (driver.Protection, error) {
-			if err := s.setupSWpt(bdf); err != nil {
-				return nil, err
-			}
-			return driver.PassThrough{Clk: s.CPU, Model: &s.Model}, nil
-		}
-
-	case Strict, StrictPlus, Defer, DeferPlus:
-		hier, err := pagetable.NewHierarchy(mm)
-		if err != nil {
-			return nil, err
-		}
-		s.BaseHW = iommu.New(s.Dev, &s.Model, hier, 0)
-		s.Eng = dma.NewEngine(mm, s.BaseHW)
-		bmode := map[Mode]baseline.Mode{
-			Strict: baseline.Strict, StrictPlus: baseline.StrictPlus,
-			Defer: baseline.Defer, DeferPlus: baseline.DeferPlus,
-		}[mode]
-		s.protFor = func(bdf pci.BDF, _ []uint32) (driver.Protection, error) {
-			// The paper's machines had I/O page walks incoherent with the
-			// CPU caches (§3.2), hence the explicit flushes.
-			return baseline.New(bmode, s.CPU, &s.Model, mm, s.BaseHW, bdf, false)
-		}
 
 	case RIOMMUMinus, RIOMMU:
 		s.RHW = core.New(s.Dev, &s.Model, mm)
 		s.Eng = dma.NewEngine(mm, s.RHW)
-		coherent := mode == RIOMMU
-		s.protFor = func(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
-			return core.NewDriver(s.CPU, &s.Model, mm, s.RHW, bdf, ringSizes, coherent)
-		}
 
 	default:
 		return nil, fmt.Errorf("sim: unknown mode %d", int(mode))
@@ -250,34 +213,74 @@ func (s *System) setupSWpt(bdf pci.BDF) error {
 // driver, descriptor rings, device model, and a full Rx ring of mapped
 // buffers.
 func (s *System) AttachNIC(profile device.NICProfile, bdf pci.BDF) (*driver.NICDriver, *device.NIC, error) {
-	prot, err := s.protFor(bdf, driver.RIOMMURingSizes(profile))
+	prot, err := s.ProtectionFor(bdf, driver.RIOMMURingSizes(profile))
 	if err != nil {
 		return nil, nil, err
 	}
-	s.Protections[bdf] = prot
 	return driver.NewNICDriver(s.Mem, prot, s.Eng, profile, bdf)
 }
 
 // AttachMQNIC wires a multi-queue NIC (§2.3) into the system: `queues`
 // independent ring pairs sharing one device identity and protection domain.
 func (s *System) AttachMQNIC(profile device.NICProfile, bdf pci.BDF, queues int) (*driver.MQNIC, error) {
-	prot, err := s.protFor(bdf, driver.RIOMMURingSizesQ(profile, queues))
+	prot, err := s.ProtectionFor(bdf, driver.RIOMMURingSizesQ(profile, queues))
 	if err != nil {
 		return nil, err
 	}
-	s.Protections[bdf] = prot
 	return driver.NewMQNIC(s.Mem, prot, s.Eng, profile, bdf, queues)
 }
 
-// ProtectionFor builds a protection driver for a non-NIC device with the
-// given rIOMMU flat-table sizes (used by the NVMe and SATA experiments).
-// Baseline and pass-through modes ignore ringSizes.
+// ProtectionFor builds the system mode's protection driver for one device
+// with the given rIOMMU flat-table sizes, instruments it (wire) and records
+// it in Protections. AttachNIC and AttachMQNIC build theirs here; the NVMe
+// and SATA experiments call it directly. Baseline and pass-through modes
+// ignore ringSizes.
 func (s *System) ProtectionFor(bdf pci.BDF, ringSizes []uint32) (driver.Protection, error) {
-	prot, err := s.protFor(bdf, ringSizes)
-	if err == nil {
-		s.Protections[bdf] = prot
+	var prot driver.Protection
+	var err error
+	switch s.Mode {
+	case None:
+		prot = driver.NoProtection{}
+	case HWpt:
+		prot = driver.PassThrough{Clk: s.CPU, Model: &s.Model}
+	case SWpt:
+		err = s.setupSWpt(bdf)
+		prot = driver.PassThrough{Clk: s.CPU, Model: &s.Model}
+	case Strict, StrictPlus, Defer, DeferPlus:
+		// The paper's machines had I/O page walks incoherent with the CPU
+		// caches (§3.2), hence the explicit flushes.
+		prot, err = baseline.New(baselineModes[s.Mode], s.CPU, &s.Model, s.Mem, s.BaseHW, bdf, false)
+	case RIOMMUMinus, RIOMMU:
+		prot, err = core.NewDriver(s.CPU, &s.Model, s.Mem, s.RHW, bdf, ringSizes, s.Mode == RIOMMU)
 	}
-	return prot, err
+	if err != nil {
+		return nil, err
+	}
+	s.wire(prot)
+	s.Protections[bdf] = prot
+	return prot, nil
+}
+
+// wire instruments one protection driver with the system's fault engine and
+// shadow oracle. It is the only place a driver is instrumented: every driver
+// ProtectionFor or DegradeToStrict builds passes through it, and
+// EnableFaults and EnableAudit rerun it over Protections. Only non-nil hooks
+// are installed, because a nil *audit.Oracle stored in a driver's interface
+// field would get past the driver's != nil check.
+func (s *System) wire(p driver.Protection) {
+	switch d := p.(type) {
+	case *baseline.Driver:
+		if s.FaultEng != nil {
+			d.SetFaults(s.FaultEng)
+		}
+		if s.Auditor != nil {
+			d.SetAudit(s.Auditor)
+		}
+	case *core.Driver:
+		if s.Auditor != nil {
+			d.SetAudit(s.Auditor)
+		}
+	}
 }
 
 // ResetClocks zeroes both clocks; workloads call it after setup so that

@@ -181,13 +181,3 @@ func (d *Domain) PendingInvalidations() int { return len(d.invq.pending) }
 
 // TLBStats returns the stage-2 TLB counters.
 func (d *Domain) TLBStats() iotlb.Stats { return d.tlb.Stats() }
-
-// MappedPages returns the number of live stage-2 mappings.
-func (d *Domain) MappedPages() int { return len(d.pages) }
-
-// FrameOf returns the frame backing a GPA page in the hypervisor's shadow
-// map (ok=false when unmapped). Test/oracle plumbing, charges nothing.
-func (d *Domain) FrameOf(gpa uint64) (mem.PFN, bool) {
-	f, ok := d.pages[gpa>>mem.PageShift]
-	return f, ok
-}

@@ -330,19 +330,6 @@ func (h *Host) register(d *Domain, bdf pci.BDF) {
 // DirectoryOwner returns the domain owning bdf, or nil.
 func (h *Host) DirectoryOwner(bdf pci.BDF) *Domain { return h.dir[bdf] }
 
-// RemoveDevice surprise-removes a directory device from the domain's guest.
-// The directory slot stays with the tenant (the slot is quarantined, not
-// reassigned) — only Teardown releases slots.
-func (h *Host) RemoveDevice(d *Domain, bdf pci.BDF) error {
-	if h.dir[bdf] != d {
-		return fmt.Errorf("tenant: device %s not owned by tenant %d", bdf, d.ID)
-	}
-	if d.Sys == nil {
-		return fmt.Errorf("tenant: domain %d has no guest system", d.ID)
-	}
-	return d.Sys.LifecycleFor(bdf).SurpriseRemove()
-}
-
 // Reclaim unmaps pages of the domain's guest-physical space starting at
 // gpa and returns their host frames to the free list (memory unplug). With
 // strict invalidation the domain's stage-2 TLB entries die with the
