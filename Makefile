@@ -98,11 +98,11 @@ traffic: build
 		-rounds 16 -rates 0 -modes strict,riommu -churn 200000 > /dev/null
 
 # Short bounded runs of the fault-determinism, IRTE-allocator, stage-2 walk,
-# connection-churn, audit-oracle index, frame-allocator, checkpoint-loader,
-# trace-file parser, rIOMMU IOVA-packing and rtranslate, and multi-queue ring
-# layout fuzzers (the seed corpora also run as part of plain `go test`). The
-# patterns for the last three are anchored: internal/core holds two targets,
-# and -fuzz must match exactly one.
+# connection-churn, audit-oracle index, frame-allocator, memory-image,
+# checkpoint-loader, trace-file parser, rIOMMU IOVA-packing and rtranslate,
+# and multi-queue ring layout fuzzers (the seed corpora also run as part of
+# plain `go test`). The patterns for the last three are anchored:
+# internal/core holds two targets, and -fuzz must match exactly one.
 fuzz:
 	$(GO) test ./internal/sim/ -run FuzzFaultDeterminism -fuzz FuzzFaultDeterminism -fuzztime 20s
 	$(GO) test ./internal/intremap/ -run FuzzIRTEAllocator -fuzz FuzzIRTEAllocator -fuzztime 20s
@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime 20s
 	$(GO) test ./internal/audit/ -run FuzzOracleIndex -fuzz FuzzOracleIndex -fuzztime 20s
 	$(GO) test ./internal/mem/ -run FuzzAllocFrames -fuzz FuzzAllocFrames -fuzztime 20s
+	$(GO) test ./internal/mem/ -run FuzzMemImage -fuzz FuzzMemImage -fuzztime 20s
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime 20s
 	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime 20s
@@ -126,6 +127,7 @@ fuzz-smoke:
 	$(GO) test ./internal/traffic/ -run FuzzConnectionChurn -fuzz FuzzConnectionChurn -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/audit/ -run FuzzOracleIndex -fuzz FuzzOracleIndex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mem/ -run FuzzAllocFrames -fuzz FuzzAllocFrames -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mem/ -run FuzzMemImage -fuzz FuzzMemImage -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign/ -run FuzzLoadCheckpoint -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run FuzzReadBinary -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run FuzzReadJSON -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)

@@ -21,6 +21,8 @@ package audit
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"riommu/internal/cycles"
@@ -142,6 +144,25 @@ func NewOracle(mode string, clk *cycles.Clock) *Oracle {
 		retired:  make(map[pci.BDF][]Retired),
 		ByReason: make(map[string]uint64),
 	}
+}
+
+// Clone returns an independent copy of the oracle, stamping events from
+// clk: every live index, tombstone list, counter map and event list is
+// copied, so verdicts in the copy never reach o.
+func (o *Oracle) Clone(clk *cycles.Clock) *Oracle {
+	c := *o
+	c.clk = clk
+	c.live = make(map[pci.BDF]map[uint64]Mapping, len(o.live))
+	for bdf, dev := range o.live {
+		c.live[bdf] = maps.Clone(dev)
+	}
+	c.retired = make(map[pci.BDF][]Retired, len(o.retired))
+	for bdf, r := range o.retired {
+		c.retired[bdf] = slices.Clone(r)
+	}
+	c.ByReason = maps.Clone(o.ByReason)
+	c.Events = slices.Clone(o.Events)
+	return &c
 }
 
 // Mode returns the protection-mode label events carry.

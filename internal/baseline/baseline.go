@@ -15,6 +15,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/cycles"
 	"riommu/internal/dma"
@@ -120,6 +121,24 @@ func New(mode Mode, clk *cycles.Clock, model *cycles.Model, mm *mem.PhysMem, hw 
 		invq:       invq,
 		deferBatch: DeferBatch,
 	}, nil
+}
+
+// Clone returns an independent copy of the driver in a cloned world: hw is
+// the clone of d's IOMMU, from whose hierarchy the copy takes its address
+// space. The copy has no fault engine or observer installed.
+func (d *Driver) Clone(mm *mem.PhysMem, hw *iommu.IOMMU, rb cycles.Rebind) (*Driver, error) {
+	if d.hw.Hierarchy().Space(d.bdf) != d.space {
+		return nil, fmt.Errorf("baseline: %s's address space is not attached; cannot clone", d.bdf)
+	}
+	c := *d
+	c.clk, c.model, c.mm, c.hw = rb.Clock(d.clk), rb.Model, mm, hw
+	c.space = hw.Hierarchy().Space(d.bdf)
+	c.alloc = d.alloc.Clone(rb)
+	c.invq = d.invq.Clone(mm, hw.TLB())
+	c.aud = nil
+	c.deferQ = slices.Clone(d.deferQ)
+	c.paScratch = nil
+	return &c, nil
 }
 
 // SetFaults threads the fault-injection engine into the driver's

@@ -4,11 +4,12 @@
 // window, and reports how the recovery layer held up.
 //
 // The campaign is a flat cell grid (device x mode x rate, plus a fault-free
-// anchor cell per NIC mode). Every cell builds its own simulation world and
-// derives its fault-engine seed from the base seed and the cell's identity
-// alone (parallel.CellSeed), never from which worker ran it — so the merged
-// result is byte-identical for any worker count, and CI can diff rendered
-// output across code changes.
+// anchor cell per NIC mode). Every cell runs in a simulation world of its
+// own (single-queue NIC and chaos cells clone theirs from a per-mode
+// template, see cloneNICWorld) and derives its fault-engine seed from the
+// base seed and the cell's identity alone (parallel.CellSeed), never from
+// which worker ran it — so the merged result is byte-identical for any
+// worker count, and CI can diff rendered output across code changes.
 package campaign
 
 import (
@@ -16,6 +17,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"riommu/internal/audit"
 	"riommu/internal/chaos"
@@ -706,23 +708,77 @@ func recordSLO(c *CellMetrics, sys *sim.System, sup *driver.Supervisor) {
 	c.Readmissions = sup.Breaker.Readmissions
 }
 
+// nicWorld is a single-queue NIC cell's world as sim.System.AttachNIC
+// leaves it, with the cell's fault engine installed.
+type nicWorld struct {
+	sys *sim.System
+	f   *faults.Engine
+	drv *driver.NICDriver
+	nic *device.NIC
+}
+
+// templateKey names one NIC template: cells differ from each other only in
+// their mode, whether they are audited, and what runs after the attach.
+type templateKey struct {
+	mode    sim.Mode
+	audited bool
+}
+
+// templateEntry builds its template once, however many workers ask.
+type templateEntry struct {
+	once sync.Once
+	t    *sim.NICTemplate
+	err  error
+}
+
+// nicTemplates is the process-wide template cache. A template is read-only
+// once built, so every worker of every Run clones the same one.
+var nicTemplates sync.Map // templateKey -> *templateEntry
+
+// cloneNICWorld returns a NIC cell's world: a clone of the (mode, audited)
+// template with a uniform fault engine at rate installed. It equals the
+// world a fresh sim.NewSystem + EnableFaults + EnableAudit + AttachNIC
+// would build, because the attach draws no fault opportunities (the
+// template's guard checks this).
+func cloneNICWorld(mode sim.Mode, seed uint64, rate float64, audited bool) (nicWorld, error) {
+	key := templateKey{mode, audited}
+	v, ok := nicTemplates.Load(key)
+	if !ok {
+		v, _ = nicTemplates.LoadOrStore(key, &templateEntry{})
+	}
+	e := v.(*templateEntry)
+	e.once.Do(func() {
+		e.t, e.err = sim.NewNICTemplate(mode, 1<<15, device.ProfileBRCM, nicBDF, audited)
+	})
+	if e.err != nil {
+		return nicWorld{}, e.err
+	}
+	sys, drv, nic, err := e.t.Clone()
+	if err != nil {
+		return nicWorld{}, err
+	}
+	f := sys.EnableFaults(faults.UniformConfig(seed, rate))
+	return nicWorld{sys: sys, f: f, drv: drv, nic: nic}, nil
+}
+
 // nicCell soaks a supervised NIC under uniform injection at the given rate.
 func nicCell(mode sim.Mode, seed uint64, rate float64, rounds int, audited bool) (CellMetrics, error) {
-	sys, f, err := newWorld(mode, 1<<15, seed, rate, audited)
+	w, err := cloneNICWorld(mode, seed, rate, audited)
 	if err != nil {
 		return CellMetrics{}, err
 	}
-	defer sys.Close()
-	drv, nic, err := sys.AttachNIC(device.ProfileBRCM, nicBDF)
-	if err != nil {
-		return CellMetrics{}, err
-	}
-	sup := sys.Supervise(nicBDF, drv)
+	return w.soakNIC(rounds)
+}
+
+// soakNIC runs the NIC cell's workload in w and closes w.
+func (w nicWorld) soakNIC(rounds int) (CellMetrics, error) {
+	defer w.sys.Close()
+	sup := w.sys.Supervise(nicBDF, w.drv)
 	payload := nicPayload()
-	if err := soak(sup, rounds, func() error { return nicRound(drv, payload, nil) }); err != nil {
+	if err := soak(sup, rounds, func() error { return nicRound(w.drv, payload, nil) }); err != nil {
 		return CellMetrics{}, err
 	}
-	return finishNIC(sys, f, sup, nic.TxPackets+nic.RxPackets, true), nil
+	return finishNIC(w.sys, w.f, sup, w.nic.TxPackets+w.nic.RxPackets, true), nil
 }
 
 // mqCell soaks a supervised multi-queue NIC: `cores` queue pairs sharing
@@ -823,15 +879,17 @@ func blockCell(dev string, mode sim.Mode, seed uint64, rate float64, rounds int,
 func chaosCell(mode sim.Mode, scenario chaos.Scenario, seed uint64, rounds int) (CellMetrics, error) {
 	// Injection stays quiet except in the cascade scenario, which opens a
 	// multi-class fault storm across the middle third of the cell.
-	sys, f, err := newWorld(mode, 1<<15, seed, 0, true)
+	w, err := cloneNICWorld(mode, seed, 0, true)
 	if err != nil {
 		return CellMetrics{}, err
 	}
+	return w.chaosSoak(scenario, rounds)
+}
+
+// chaosSoak runs one hostile-device scenario in w and closes w.
+func (w nicWorld) chaosSoak(scenario chaos.Scenario, rounds int) (CellMetrics, error) {
+	sys, f, drv, nic := w.sys, w.f, w.drv, w.nic
 	defer sys.Close()
-	drv, nic, err := sys.AttachNIC(device.ProfileBRCM, nicBDF)
-	if err != nil {
-		return CellMetrics{}, err
-	}
 	sup := sys.Supervise(nicBDF, drv)
 	sup.Breaker = driver.NewBreaker()
 	sup.Isolator = sys.IsolatorFor(nicBDF)

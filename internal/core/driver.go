@@ -46,6 +46,17 @@ func NewDriver(clk *cycles.Clock, model *cycles.Model, mm *mem.PhysMem, hw *RIOM
 	return &Driver{clk: clk, model: model, mm: mm, hw: hw, dev: dev, coherent: coherent}, nil
 }
 
+// Clone returns an independent copy of the driver in a cloned world: hw is
+// the clone of d's rIOMMU, from which the copy takes its rDEVICE. The copy
+// has no observer installed.
+func (d *Driver) Clone(mm *mem.PhysMem, hw *RIOMMU, rb cycles.Rebind) (*Driver, error) {
+	bdf := d.dev.BDF()
+	if d.hw.Device(bdf) != d.dev {
+		return nil, fmt.Errorf("riommu: %s is not attached; cannot clone its driver", bdf)
+	}
+	return &Driver{clk: rb.Clock(d.clk), model: rb.Model, mm: mm, hw: hw, dev: hw.Device(bdf), coherent: d.coherent}, nil
+}
+
 // Device returns the attached rDEVICE.
 func (d *Driver) Device() *Device { return d.dev }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"riommu/internal/cycles"
 	"riommu/internal/dma"
@@ -142,6 +144,19 @@ func (t *riotlb) slot(key tlbKey) int32 {
 	return s
 }
 
+// clone returns a copy of the rIOTLB sharing no slice or map with t.
+func (t *riotlb) clone() riotlb {
+	return riotlb{
+		index:   maps.Clone(t.index),
+		keys:    slices.Clone(t.keys),
+		present: slices.Clone(t.present),
+		rentry:  slices.Clone(t.rentry),
+		cur:     slices.Clone(t.cur),
+		next:    slices.Clone(t.next),
+		free:    slices.Clone(t.free),
+	}
+}
+
 // release frees the ring's slot (device detach), returning whether it was
 // present.
 func (t *riotlb) release(key tlbKey) bool {
@@ -212,6 +227,35 @@ func New(clk *cycles.Clock, model *cycles.Model, mm *mem.PhysMem) *RIOMMU {
 		tlb:      riotlb{index: make(map[tlbKey]int32)},
 		lastSlot: -1,
 	}
+}
+
+// Clone returns an independent copy of the rIOMMU over mm, charging rb's
+// clocks: every device and flat table is copied, each table re-viewed in
+// mm (a nil mm leaves the copies without views, for a template that holds
+// no memory), and the rIOTLB copied with its last-slot cache empty.
+func (u *RIOMMU) Clone(mm *mem.PhysMem, rb cycles.Rebind) (*RIOMMU, error) {
+	c := *u
+	c.clk, c.model, c.mm = rb.Clock(u.clk), rb.Model, mm
+	c.devices = make(map[pci.BDF]*Device, len(u.devices))
+	for bdf, d := range u.devices {
+		cd := &Device{bdf: d.bdf, rings: make([]*Ring, len(d.rings))}
+		for i, r := range d.rings {
+			cr := *r
+			cr.tbl = nil
+			if mm != nil {
+				tbl, err := mm.Span(r.tablePA, uint64(r.size)*rpteBytes)
+				if err != nil {
+					return nil, fmt.Errorf("riommu: cloning flat table %d of %s: %w", i, bdf, err)
+				}
+				cr.tbl = tbl
+			}
+			cd.rings[i] = &cr
+		}
+		c.devices[bdf] = cd
+	}
+	c.tlb = u.tlb.clone()
+	c.lastKey, c.lastSlot = tlbKey{}, -1
+	return &c, nil
 }
 
 // Stats returns a copy of the hardware event counters.

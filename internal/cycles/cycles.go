@@ -169,6 +169,26 @@ func (c *Clock) Restore(s Snapshot) {
 	copy(c.charges[:], s.Charges[:])
 }
 
+// Rebind maps the clocks and cost model one simulated world's components
+// charge onto those of a clone of that world. Every Clone method that takes
+// a Rebind points its copy at the clone's clocks and model, never at the
+// template's.
+type Rebind struct {
+	From, To []*Clock // To[i] is From[i]'s counterpart in the clone
+	Model    *Model   // the clone's cost model
+}
+
+// Clock returns c's counterpart in the clone. A clock from outside the
+// cloned world is a wiring bug, so it panics.
+func (r Rebind) Clock(c *Clock) *Clock {
+	for i, f := range r.From {
+		if f == c {
+			return r.To[i]
+		}
+	}
+	panic("cycles: Rebind of a clock outside the cloned world")
+}
+
 // Snapshot is an immutable copy of a Clock's accounting state.
 type Snapshot struct {
 	Now         uint64

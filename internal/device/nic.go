@@ -16,6 +16,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/dma"
 	"riommu/internal/mem"
@@ -120,6 +121,18 @@ type NIC struct {
 // their device-visible addresses.
 func NewNIC(profile NICProfile, bdf pci.BDF, eng *dma.Engine, rx, tx *ring.Ring) *NIC {
 	return &NIC{Profile: profile, bdf: bdf, eng: eng, rx: rx, tx: tx}
+}
+
+// Clone returns an independent copy of the NIC model in a cloned world,
+// bound to that world's engine and rings. An interrupt line is the wiring
+// of one world, so the copy has none.
+func (n *NIC) Clone(eng *dma.Engine, rx, tx *ring.Ring) *NIC {
+	c := *n
+	c.IRQ = nil
+	c.eng, c.rx, c.tx = eng, rx, tx
+	c.LastTx = slices.Clone(n.LastTx)
+	c.txScratch = nil
+	return &c
 }
 
 // BDF returns the device's PCI identity.

@@ -201,6 +201,19 @@ func NewEngine(mm *mem.PhysMem, tr Translator) *Engine {
 	return e
 }
 
+// Clone returns an independent copy of the engine in a cloned world,
+// accessing mm through tr with the same statistics and batch setting. The
+// copy has no fault engine or auditor installed. Closers release resources
+// of one world, so an engine with closers registered cannot be cloned.
+func (e *Engine) Clone(mm *mem.PhysMem, tr Translator) (*Engine, error) {
+	if len(e.closers) > 0 {
+		return nil, fmt.Errorf("dma: cannot clone an engine with closers registered")
+	}
+	c := &Engine{mm: mm, batchOff: e.batchOff, Reads: e.Reads, Writes: e.Writes, Bytes: e.Bytes}
+	c.SetTranslator(tr)
+	return c, nil
+}
+
 // Translator returns the engine's current translator.
 func (e *Engine) Translator() Translator { return e.tr }
 

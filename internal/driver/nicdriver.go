@@ -2,6 +2,8 @@ package driver
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"riommu/internal/device"
 	"riommu/internal/dma"
@@ -132,6 +134,64 @@ func newNICDriverQueue(mm *mem.PhysMem, prot Protection, eng *dma.Engine, profil
 		return nil, nil, err
 	}
 	return d, d.nic, nil
+}
+
+// Clone returns an independent copy of the driver and its NIC model in a
+// cloned world: mm is that world's memory (nil for a template that holds
+// none), prot the clone of d's protection driver and eng the clone of its
+// DMA engine. A copy with memory takes its slot tables from a pool shared
+// by all such copies and hands them back when eng closes, so a stream of
+// cloned worlds reuses a few tables instead of allocating a set per world.
+// Interrupt wiring belongs to one world, so a driver with an interrupt
+// source cannot be cloned.
+func (d *NICDriver) Clone(mm *mem.PhysMem, prot Protection, eng *dma.Engine) (*NICDriver, error) {
+	if d.irq != nil {
+		return nil, fmt.Errorf("driver: cannot clone a NIC driver with interrupts wired")
+	}
+	rx, err := d.rx.Clone(mm)
+	if err != nil {
+		return nil, err
+	}
+	tx, err := d.tx.Clone(mm)
+	if err != nil {
+		return nil, err
+	}
+	c := *d
+	c.mm, c.prot, c.rx, c.tx = mm, prot, rx, tx
+	c.pool = d.pool.Clone(mm)
+	c.nic = d.nic.Clone(eng, rx, tx)
+	c.staticIOVAs = slices.Clone(d.staticIOVAs)
+	c.reapScratch = nil
+	if mm == nil {
+		c.rxSlots = slices.Clone(d.rxSlots)
+		c.txSlots = slices.Clone(d.txSlots)
+		return &c, nil
+	}
+	c.rxSlots = append(getSlots(len(d.rxSlots)), d.rxSlots...)
+	c.txSlots = append(getSlots(len(d.txSlots)), d.txSlots...)
+	eng.AddCloser(func() {
+		putSlots(c.rxSlots)
+		putSlots(c.txSlots)
+	})
+	return &c, nil
+}
+
+// slotPools recycles cloned drivers' slot tables, bucketed by length.
+var slotPools sync.Map // int -> *sync.Pool of *[]mapped
+
+// getSlots returns an empty slot table with room for n slots.
+func getSlots(n int) []mapped {
+	p, _ := slotPools.LoadOrStore(n, &sync.Pool{})
+	if v := p.(*sync.Pool).Get(); v != nil {
+		return (*v.(*[]mapped))[:0]
+	}
+	return make([]mapped, 0, n)
+}
+
+// putSlots hands a slot table back for reuse.
+func putSlots(s []mapped) {
+	p, _ := slotPools.LoadOrStore(cap(s), &sync.Pool{})
+	p.(*sync.Pool).Put(&s)
 }
 
 // NIC returns the attached device model.

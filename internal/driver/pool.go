@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/mem"
 )
@@ -32,6 +33,15 @@ func NewBufferPool(mm *mem.PhysMem, bufSize uint32) *BufferPool {
 		bufSize = mem.PageSize
 	}
 	return &BufferPool{mm: mm, bufSize: bufSize}
+}
+
+// Clone returns an independent copy of the pool over mm.
+func (p *BufferPool) Clone(mm *mem.PhysMem) *BufferPool {
+	c := *p
+	c.mm = mm
+	c.free = slices.Clone(p.free)
+	c.frames = slices.Clone(p.frames)
+	return &c
 }
 
 // BufSize returns the fixed buffer size.

@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/faults"
 	"riommu/internal/iotlb"
@@ -80,6 +81,15 @@ func NewInvQueue(mm *mem.PhysMem, tlb *iotlb.IOTLB) (*InvQueue, error) {
 		size:   mem.PageSize / invDescBytes,
 		status: sf.PA(),
 	}, nil
+}
+
+// Clone returns an independent copy of the queue over mm, draining into
+// tlb. The copy has no fault engine installed.
+func (q *InvQueue) Clone(mm *mem.PhysMem, tlb *iotlb.IOTLB) *InvQueue {
+	c := *q
+	c.mm, c.tlb, c.inj = mm, tlb, nil
+	c.delayed = slices.Clone(q.delayed)
+	return &c
 }
 
 // Pending returns the descriptors the hardware has not drained yet.

@@ -41,6 +41,18 @@ func New(clk *cycles.Clock, model *cycles.Model, hier *pagetable.Hierarchy, tlbC
 	}
 }
 
+// Clone returns an independent copy of the unit over mm: hierarchy (with
+// its attached spaces) and IOTLB cloned, charges going to rb's clocks.
+func (u *IOMMU) Clone(mm *mem.PhysMem, rb cycles.Rebind) *IOMMU {
+	return &IOMMU{
+		clk:         rb.Clock(u.clk),
+		model:       rb.Model,
+		hier:        u.hier.Clone(mm, rb),
+		tlb:         u.tlb.Clone(),
+		PassThrough: u.PassThrough,
+	}
+}
+
 // TLB exposes the IOTLB for OS-driver invalidations and statistics.
 func (u *IOMMU) TLB() *iotlb.IOTLB { return u.tlb }
 

@@ -7,6 +7,9 @@
 package iotlb
 
 import (
+	"maps"
+	"slices"
+
 	"riommu/internal/mem"
 	"riommu/internal/pci"
 )
@@ -87,6 +90,19 @@ func New(capacity int) *IOTLB {
 	}
 	t.reset()
 	return t
+}
+
+// Clone returns an independent copy of the cache: same entries, LRU order
+// and statistics, sharing no slice or map with t.
+func (t *IOTLB) Clone() *IOTLB {
+	c := *t
+	c.index = maps.Clone(t.index)
+	c.keys = slices.Clone(t.keys)
+	c.entries = slices.Clone(t.entries)
+	c.stale = slices.Clone(t.stale)
+	c.prev = slices.Clone(t.prev)
+	c.next = slices.Clone(t.next)
+	return &c
 }
 
 // reset threads every slot onto the free list and empties the LRU order.

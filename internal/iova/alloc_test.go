@@ -359,3 +359,58 @@ func TestAllocChargesComponents(t *testing.T) {
 		t.Error("Free did not charge UnmapIOVAFree")
 	}
 }
+
+// TestCloneIsIndependent checks Clone: a clone continues exactly as its
+// source would, charging its own clock, and churning one never moves the
+// other.
+func TestCloneIsIndependent(t *testing.T) {
+	for _, mk := range []func() (Allocator, *cycles.Clock){
+		func() (Allocator, *cycles.Clock) { return newLinux() },
+		func() (Allocator, *cycles.Clock) { return newConst() },
+	} {
+		a, clk := mk()
+		rng := rand.New(rand.NewSource(9))
+		var live []uint64
+		churn := func(a Allocator, live []uint64, rng *rand.Rand, n int) ([]uint64, []uint64) {
+			var trace []uint64
+			for i := 0; i < n; i++ {
+				if len(live) > 0 && rng.Intn(3) == 0 {
+					j := rng.Intn(len(live))
+					if err := a.Free(live[j]); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live[:j:j], live[j+1:]...)
+					continue
+				}
+				p, err := a.Alloc(uint64(1 + rng.Intn(3)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, p)
+				trace = append(trace, p)
+			}
+			return live, trace
+		}
+		live, _ = churn(a, live, rng, 300)
+
+		model := cycles.DefaultModel()
+		cclk := &cycles.Clock{}
+		*cclk = *clk
+		c := a.Clone(cycles.Rebind{From: []*cycles.Clock{clk}, To: []*cycles.Clock{cclk}, Model: &model})
+
+		// The clone churns first; then the source replays the same ops.
+		_, got := churn(c, append([]uint64(nil), live...), rand.New(rand.NewSource(4)), 300)
+		if clk.Now() == cclk.Now() {
+			t.Fatal("clone charged the source's clock")
+		}
+		_, want := churn(a, live, rand.New(rand.NewSource(4)), 300)
+		if len(got) != len(want) || clk.Snapshot() != cclk.Snapshot() {
+			t.Fatalf("%T: clone diverged from its source", a)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%T: alloc %d = %#x in the clone, %#x in the source", a, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package iova
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/cycles"
 )
@@ -28,11 +29,10 @@ type ConstAllocator struct {
 	model *cycles.Model
 
 	t         tree
-	freeSmall [smallSizeClasses][]*node // pages -> stack of recycled ranges
-	freeBig   map[uint64][]*node        // rare sizes >= smallSizeClasses
-	arena     nodeArena
-	bump      uint64 // next fresh pfnHi (descending)
-	limit     uint64 // top of the arena, where bump started
+	freeSmall [smallSizeClasses][]int32 // pages -> stack of recycled ranges
+	freeBig   map[uint64][]int32        // rare sizes >= smallSizeClasses
+	bump      uint64                    // next fresh pfnHi (descending)
+	limit     uint64                    // top of the arena, where bump started
 	live      int
 }
 
@@ -52,32 +52,33 @@ func NewConst(clk *cycles.Clock, model *cycles.Model, limit uint64) *ConstAlloca
 // churn property test pins.
 func (a *ConstAllocator) Carved() uint64 { return a.limit - a.bump }
 
-// popRecycled pops the newest cached-free range of exactly `pages`, or nil.
-func (a *ConstAllocator) popRecycled(pages uint64) *node {
+// popRecycled pops the newest cached-free range of exactly `pages`, or
+// nilNode.
+func (a *ConstAllocator) popRecycled(pages uint64) int32 {
 	if pages < smallSizeClasses {
 		if fl := a.freeSmall[pages]; len(fl) > 0 {
 			n := fl[len(fl)-1]
 			a.freeSmall[pages] = fl[:len(fl)-1]
 			return n
 		}
-		return nil
+		return nilNode
 	}
 	if fl := a.freeBig[pages]; len(fl) > 0 {
 		n := fl[len(fl)-1]
 		a.freeBig[pages] = fl[:len(fl)-1]
 		return n
 	}
-	return nil
+	return nilNode
 }
 
 // pushRecycled stacks a freed range for reuse by size class.
-func (a *ConstAllocator) pushRecycled(pages uint64, n *node) {
+func (a *ConstAllocator) pushRecycled(pages uint64, n int32) {
 	if pages < smallSizeClasses {
 		a.freeSmall[pages] = append(a.freeSmall[pages], n)
 		return
 	}
 	if a.freeBig == nil {
-		a.freeBig = make(map[uint64][]*node)
+		a.freeBig = make(map[uint64][]int32)
 	}
 	a.freeBig[pages] = append(a.freeBig[pages], n)
 }
@@ -93,7 +94,8 @@ func (a *ConstAllocator) Alloc(pages uint64) (uint64, error) {
 	if pages == 0 {
 		return 0, fmt.Errorf("iova: zero-size allocation")
 	}
-	if n := a.popRecycled(pages); n != nil {
+	if i := a.popRecycled(pages); i != nilNode {
+		n := a.t.n(i)
 		n.free = false
 		a.live++
 		a.clk.Charge(cycles.MapIOVAAlloc, a.model.FreelistOp*2)
@@ -106,39 +108,57 @@ func (a *ConstAllocator) Alloc(pages uint64) (uint64, error) {
 		a.clk.Charge(cycles.MapIOVAAlloc, a.model.FreelistOp)
 		return 0, fmt.Errorf("iova: fresh address space exhausted (%d live)", a.live)
 	}
-	n := a.arena.get()
-	n.pfnLo, n.pfnHi = a.bump-pages+1, a.bump
-	a.bump = n.pfnLo - 1
+	lo := a.bump - pages + 1
+	n := a.t.newNode(lo, a.bump)
+	a.bump = lo - 1
 	a.t.takeVisits()
 	a.t.insert(n)
 	a.t.takeVisits()
 	a.live++
 	a.clk.Charge(cycles.MapIOVAAlloc, a.model.FreelistOp*2)
-	return n.pfnLo, nil
+	return lo, nil
 }
 
 // Contains reports whether pfn is inside a live range.
 func (a *ConstAllocator) Contains(pfn uint64) bool {
 	defer a.t.takeVisits()
 	n := a.t.find(pfn)
-	return n != nil && !n.free
+	return n != nilNode && !a.t.n(n).free
 }
 
 // Free marks the range containing pfn as recycled. The lookup walks the
 // (fuller) tree; the release itself is a constant-time list push.
 func (a *ConstAllocator) Free(pfn uint64) error {
 	a.t.takeVisits()
-	n := a.t.find(pfn)
+	i := a.t.find(pfn)
 	a.clk.Charge(cycles.UnmapIOVAFind, a.t.takeVisits()*a.model.ConstFindVisit)
-	if n == nil || n.free {
+	if i == nilNode || a.t.n(i).free {
 		return fmt.Errorf("iova: free of unallocated pfn %#x", pfn)
 	}
+	n := a.t.n(i)
 	n.free = true
-	pages := n.pfnHi - n.pfnLo + 1
-	a.pushRecycled(pages, n)
+	a.pushRecycled(n.pfnHi-n.pfnLo+1, i)
 	a.live--
 	a.clk.Charge(cycles.UnmapIOVAFree, a.model.FreelistOp)
 	return nil
+}
+
+// Clone returns an independent copy of the allocator charging rb's clocks:
+// the tree is one slice copy, and no free stack is shared with a.
+func (a *ConstAllocator) Clone(rb cycles.Rebind) Allocator {
+	c := *a
+	c.clk, c.model = rb.Clock(a.clk), rb.Model
+	c.t = a.t.clone()
+	for i, fl := range a.freeSmall {
+		c.freeSmall[i] = slices.Clone(fl)
+	}
+	if a.freeBig != nil {
+		c.freeBig = make(map[uint64][]int32, len(a.freeBig))
+		for k, fl := range a.freeBig {
+			c.freeBig[k] = slices.Clone(fl)
+		}
+	}
+	return &c
 }
 
 var _ Allocator = (*ConstAllocator)(nil)

@@ -2,6 +2,7 @@ package iova
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/cycles"
 )
@@ -28,6 +29,8 @@ type Allocator interface {
 	Free(pfn uint64) error
 	// Live returns the number of live allocations.
 	Live() int
+	// Clone returns an independent copy charging rb's clocks.
+	Clone(rb cycles.Rebind) Allocator
 }
 
 // LinuxAllocator reproduces the Linux 3.4 IOVA allocator: a red-black tree
@@ -44,10 +47,9 @@ type LinuxAllocator struct {
 	model *cycles.Model
 
 	t        tree
-	cached32 *node // Linux iovad->cached32_node
+	cached32 int32 // Linux iovad->cached32_node (nilNode when unset)
 	limit    uint64
-	arena    nodeArena
-	spare    []*node // nodes recycled by Free, reused by Alloc
+	spare    []int32 // nodes recycled by Free, reused by Alloc
 
 	// Statistics for tests and the experiment harness.
 	LastAllocVisits uint64
@@ -76,27 +78,28 @@ func (a *LinuxAllocator) Alloc(pages uint64) (uint64, error) {
 
 	// __get_cached_rbnode: start below the cached node when present.
 	limit := a.limit
-	var curr *node
-	if a.cached32 == nil {
+	var curr int32
+	if a.cached32 == nilNode {
 		curr = a.t.last()
 	} else {
-		limit = a.cached32.pfnLo - 1
+		limit = a.t.n(a.cached32).pfnLo - 1
 		curr = a.t.prev(a.cached32)
 	}
 
-	for curr != nil {
+	for curr != nilNode {
+		c := a.t.n(curr)
 		switch {
-		case limit < curr.pfnLo:
+		case limit < c.pfnLo:
 			// Entirely above us; move left.
-		case limit <= curr.pfnHi:
+		case limit <= c.pfnHi:
 			// limit falls inside curr; adjust below it.
-			limit = curr.pfnLo - 1
+			limit = c.pfnLo - 1
 		default:
 			// Gap between curr.pfnHi and limit.
-			if curr.pfnHi+pages <= limit {
+			if c.pfnHi+pages <= limit {
 				goto found
 			}
-			limit = curr.pfnLo - 1
+			limit = c.pfnLo - 1
 		}
 		curr = a.t.prev(curr)
 	}
@@ -107,20 +110,20 @@ func (a *LinuxAllocator) Alloc(pages uint64) (uint64, error) {
 	}
 
 found:
-	var n *node
+	var n int32
 	if len(a.spare) > 0 {
 		n = a.spare[len(a.spare)-1]
 		a.spare = a.spare[:len(a.spare)-1]
+		a.t.n(n).pfnLo, a.t.n(n).pfnHi = limit-pages+1, limit
 	} else {
-		n = a.arena.get()
+		n = a.t.newNode(limit-pages+1, limit)
 	}
-	n.pfnLo, n.pfnHi = limit-pages+1, limit
 	a.t.insert(n)
 	// __cached_rbnode_insert_update: cache the new node (the caller's limit
 	// equals the dma-32bit limit for every allocation in this workload).
 	a.cached32 = n
 	a.chargeAlloc()
-	return n.pfnLo, nil
+	return limit - pages + 1, nil
 }
 
 func (a *LinuxAllocator) chargeAlloc() {
@@ -137,7 +140,7 @@ func (a *LinuxAllocator) chargeAlloc() {
 // Contains reports whether pfn is inside a live range (without charging).
 func (a *LinuxAllocator) Contains(pfn uint64) bool {
 	defer a.t.takeVisits()
-	return a.t.find(pfn) != nil
+	return a.t.find(pfn) != nilNode
 }
 
 // Free implements find_iova + __free_iova: a logarithmic lookup charged to
@@ -147,22 +150,32 @@ func (a *LinuxAllocator) Free(pfn uint64) error {
 	a.t.takeVisits()
 	n := a.t.find(pfn)
 	a.clk.Charge(cycles.UnmapIOVAFind, a.t.takeVisits()*a.model.RBFindVisit)
-	if n == nil {
+	if n == nilNode {
 		return fmt.Errorf("iova: free of unallocated pfn %#x", pfn)
 	}
 	// __cached_rbnode_delete_update.
-	if a.cached32 != nil && n.pfnLo >= a.cached32.pfnLo {
+	if a.cached32 != nilNode && a.t.n(n).pfnLo >= a.t.n(a.cached32).pfnLo {
 		succ := a.t.next(n)
-		if succ != nil && succ.pfnLo < a.limit {
+		if succ != nilNode && a.t.n(succ).pfnLo < a.limit {
 			a.cached32 = succ
 		} else {
-			a.cached32 = nil
+			a.cached32 = nilNode
 		}
 	}
 	a.t.erase(n)
 	a.spare = append(a.spare, n)
 	a.clk.Charge(cycles.UnmapIOVAFree, a.model.RBEraseFixed+a.t.takeVisits()*a.model.RBNodeVisit)
 	return nil
+}
+
+// Clone returns an independent copy of the allocator charging rb's clocks:
+// the tree is one slice copy, and no slice is shared with a.
+func (a *LinuxAllocator) Clone(rb cycles.Rebind) Allocator {
+	c := *a
+	c.clk, c.model = rb.Clock(a.clk), rb.Model
+	c.t = a.t.clone()
+	c.spare = slices.Clone(a.spare)
+	return &c
 }
 
 var _ Allocator = (*LinuxAllocator)(nil)

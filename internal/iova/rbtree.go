@@ -17,41 +17,75 @@
 // visited, so the asymptotic behaviour is reproduced rather than assumed.
 package iova
 
+import "slices"
+
 // node is a red-black tree node describing one allocated IOVA range
-// [pfnLo, pfnHi] in page-frame-number units.
+// [pfnLo, pfnHi] in page-frame-number units. Links are indices into the
+// owning tree's slices; nilNode is the absent link. Besides the tree
+// links, every node is threaded onto the in-order list through pred and
+// succ, so prev and next are one load rather than a walk.
 type node struct {
 	pfnLo, pfnHi uint64
-	left, right  *node
-	parent       *node
+	parent       int32
+	pred, succ   int32
 	red          bool
 	free         bool // ConstAllocator: range is on the free list, not live
 }
 
-// nodeArena hands out tree nodes in chunks, so steady allocation churn costs
-// one bump increment per node instead of one heap allocation. Nodes are never
-// returned to the arena; allocators that erase nodes recycle them directly.
-type nodeArena struct {
-	chunk []node
-}
+// Child slots of a node's kids entry.
+const (
+	left  = 0
+	right = 1
+)
 
-const arenaChunk = 64
-
-func (ar *nodeArena) get() *node {
-	if len(ar.chunk) == 0 {
-		ar.chunk = make([]node, arenaChunk)
-	}
-	n := &ar.chunk[0]
-	ar.chunk = ar.chunk[1:]
-	return n
-}
+// nilNode is the null link. Index 0 of a tree's slices is a placeholder
+// that is never linked, so the zero tree (root == nilNode) is empty.
+const nilNode = int32(0)
 
 // tree is an intrusive red-black tree of non-overlapping IOVA ranges, sorted
-// by pfnLo. It counts node touches so callers can charge cycle costs
-// proportional to the work the real kernel would do.
+// by pfnLo. Nodes live in one slice and link by index, so steady allocation
+// churn costs an amortized append per node rather than a heap allocation,
+// and cloning the whole tree is a copy of its two slices. The child links
+// sit apart in kids, 8 bytes per node, so each step of a descent is one
+// scaled load, as cheap as following a pointer. Nodes are never returned
+// to the slices; allocators that erase nodes recycle them directly. The
+// tree counts node touches so callers can charge cycle costs proportional
+// to the work the real kernel would do.
 type tree struct {
-	root   *node
+	nodes  []node
+	kids   [][2]int32 // kids[i] = {left, right} children of node i
+	root   int32
 	size   int
 	visits uint64 // node touches since last takeVisits
+}
+
+// newNode appends a detached node for [lo, hi] and returns its index. It may
+// move the slices, so callers must not hold a *node across it.
+func (t *tree) newNode(lo, hi uint64) int32 {
+	if len(t.nodes) == 0 {
+		t.nodes = append(t.nodes, node{}) // the nilNode placeholder
+		t.kids = append(t.kids, [2]int32{})
+	}
+	if len(t.nodes) == cap(t.nodes) {
+		// Double, where append would grow a large slice by a quarter: a
+		// tree built node by node then copies each node about once.
+		t.nodes = slices.Grow(t.nodes, len(t.nodes))
+		t.kids = slices.Grow(t.kids, len(t.kids))
+	}
+	t.nodes = append(t.nodes, node{pfnLo: lo, pfnHi: hi})
+	t.kids = append(t.kids, [2]int32{})
+	return int32(len(t.nodes) - 1)
+}
+
+// n returns node i. The pointer is valid until the next newNode.
+func (t *tree) n(i int32) *node { return &t.nodes[i] }
+
+// clone returns an independent copy of the tree.
+func (t *tree) clone() tree {
+	c := *t
+	c.nodes = slices.Clone(t.nodes)
+	c.kids = slices.Clone(t.kids)
+	return c
 }
 
 // takeVisits returns and resets the touch counter.
@@ -63,322 +97,346 @@ func (t *tree) takeVisits() uint64 {
 
 func (t *tree) touch() { t.visits++ }
 
-// last returns the node with the greatest pfnLo, or nil.
-func (t *tree) last() *node {
-	n := t.root
-	if n == nil {
-		return nil
+// The loops in last, find and insert read the slices and count visits
+// through locals: a store to t.visits inside the loop would otherwise force
+// the slice headers to be reloaded on every step.
+
+// red reports whether node i is red (the nil link is black).
+func (t *tree) red(i int32) bool { return i != nilNode && t.nodes[i].red }
+
+// last returns the node with the greatest pfnLo, or nilNode.
+func (t *tree) last() int32 {
+	kids, i := t.kids, t.root
+	if i == nilNode {
+		return nilNode
 	}
-	for n.right != nil {
-		t.touch()
-		n = n.right
+	v := uint64(1)
+	for kids[i][right] != nilNode {
+		v++
+		i = kids[i][right]
 	}
+	t.visits += v
+	return i
+}
+
+// prev returns the in-order predecessor of i, or nilNode. It counts one
+// visit, as the kernel's rb_prev is charged one node touch.
+func (t *tree) prev(i int32) int32 {
 	t.touch()
-	return n
+	return t.nodes[i].pred
 }
 
-// prev returns the in-order predecessor of n, or nil.
-func (t *tree) prev(n *node) *node {
+// next returns the in-order successor of i, or nilNode, counting one visit.
+func (t *tree) next(i int32) int32 {
 	t.touch()
-	if n.left != nil {
-		n = n.left
-		for n.right != nil {
-			n = n.right
-		}
-		return n
-	}
-	p := n.parent
-	for p != nil && n == p.left {
-		n = p
-		p = p.parent
-	}
-	return p
+	return t.nodes[i].succ
 }
 
-// next returns the in-order successor of n, or nil.
-func (t *tree) next(n *node) *node {
-	t.touch()
-	if n.right != nil {
-		n = n.right
-		for n.left != nil {
-			n = n.left
-		}
-		return n
-	}
-	p := n.parent
-	for p != nil && n == p.right {
-		n = p
-		p = p.parent
-	}
-	return p
-}
-
-// find returns the node whose range contains pfn, or nil.
-func (t *tree) find(pfn uint64) *node {
-	n := t.root
-	for n != nil {
-		t.touch()
-		switch {
-		case pfn < n.pfnLo:
-			n = n.left
-		case pfn > n.pfnHi:
-			n = n.right
-		default:
-			return n
-		}
-	}
-	return nil
-}
-
-// insert adds n to the tree, keyed by pfnLo, and rebalances.
-func (t *tree) insert(n *node) {
-	n.left, n.right, n.parent = nil, nil, nil
-	n.red = true
-	var parent *node
-	link := &t.root
-	for *link != nil {
-		parent = *link
-		t.touch()
-		if n.pfnLo < parent.pfnLo {
-			link = &parent.left
+// find returns the node whose range contains pfn, or nilNode.
+func (t *tree) find(pfn uint64) int32 {
+	nodes, kids, i, v := t.nodes, t.kids, t.root, uint64(0)
+	for i != nilNode {
+		v++
+		n := &nodes[i]
+		if pfn < n.pfnLo {
+			i = kids[i][left]
+		} else if pfn > n.pfnHi {
+			i = kids[i][right]
 		} else {
-			link = &parent.right
+			break
 		}
+	}
+	t.visits += v
+	return i
+}
+
+// insert links node i into the tree, keyed by pfnLo, and rebalances.
+func (t *tree) insert(i int32) {
+	nodes, kids := t.nodes, t.kids
+	n := &nodes[i]
+	kids[i] = [2]int32{}
+	n.red = true
+	lo := n.pfnLo
+	// The new leaf's in-order neighbours are the last ancestors the
+	// descent left to the right (pred) and to the left (succ).
+	// Each arm loads its own child, so the next step's address does not
+	// wait on the key comparison.
+	parent, v := nilNode, uint64(0)
+	pred, succ := nilNode, nilNode
+	for cur := t.root; cur != nilNode; {
+		parent = cur
+		v++
+		if lo < nodes[cur].pfnLo {
+			succ = cur
+			cur = kids[cur][left]
+		} else {
+			pred = cur
+			cur = kids[cur][right]
+		}
+	}
+	t.visits += v
+	n.pred, n.succ = pred, succ
+	if pred != nilNode {
+		nodes[pred].succ = i
+	}
+	if succ != nilNode {
+		nodes[succ].pred = i
 	}
 	n.parent = parent
-	*link = n
+	switch {
+	case parent == nilNode:
+		t.root = i
+	case parent == succ:
+		kids[parent][left] = i
+	default:
+		kids[parent][right] = i
+	}
 	t.size++
-	t.fixInsert(n)
+	t.fixInsert(i)
 }
 
-func (t *tree) rotateLeft(x *node) {
-	y := x.right
-	x.right = y.left
-	if y.left != nil {
-		y.left.parent = x
-	}
-	y.parent = x.parent
+// replaceChild points x's parent (or the root) at y instead of x.
+func (t *tree) replaceChild(x, y int32) {
+	p := t.nodes[x].parent
 	switch {
-	case x.parent == nil:
+	case p == nilNode:
 		t.root = y
-	case x == x.parent.left:
-		x.parent.left = y
+	case x == t.kids[p][left]:
+		t.kids[p][left] = y
 	default:
-		x.parent.right = y
+		t.kids[p][right] = y
 	}
-	y.left = x
-	x.parent = y
 }
 
-func (t *tree) rotateRight(x *node) {
-	y := x.left
-	x.left = y.right
-	if y.right != nil {
-		y.right.parent = x
+func (t *tree) rotateLeft(x int32) {
+	nodes, kids := t.nodes, t.kids
+	y := kids[x][right]
+	yl := kids[y][left]
+	kids[x][right] = yl
+	if yl != nilNode {
+		nodes[yl].parent = x
 	}
-	y.parent = x.parent
-	switch {
-	case x.parent == nil:
-		t.root = y
-	case x == x.parent.right:
-		x.parent.right = y
-	default:
-		x.parent.left = y
-	}
-	y.right = x
-	x.parent = y
+	nodes[y].parent = nodes[x].parent
+	t.replaceChild(x, y)
+	kids[y][left] = x
+	nodes[x].parent = y
 }
 
-func (t *tree) fixInsert(z *node) {
-	for z.parent != nil && z.parent.red {
-		gp := z.parent.parent
-		if z.parent == gp.left {
-			u := gp.right
-			if u != nil && u.red {
-				z.parent.red = false
-				u.red = false
-				gp.red = true
+func (t *tree) rotateRight(x int32) {
+	nodes, kids := t.nodes, t.kids
+	y := kids[x][left]
+	yr := kids[y][right]
+	kids[x][left] = yr
+	if yr != nilNode {
+		nodes[yr].parent = x
+	}
+	nodes[y].parent = nodes[x].parent
+	t.replaceChild(x, y)
+	kids[y][right] = x
+	nodes[x].parent = y
+}
+
+func (t *tree) fixInsert(z int32) {
+	nodes, kids := t.nodes, t.kids
+	for {
+		zp := nodes[z].parent
+		if zp == nilNode || !nodes[zp].red {
+			break
+		}
+		gp := nodes[zp].parent
+		if zp == kids[gp][left] {
+			u := kids[gp][right]
+			if t.red(u) {
+				nodes[zp].red = false
+				nodes[u].red = false
+				nodes[gp].red = true
 				z = gp
 			} else {
-				if z == z.parent.right {
-					z = z.parent
+				if z == kids[zp][right] {
+					z = zp
 					t.rotateLeft(z)
 				}
-				z.parent.red = false
-				gp.red = true
+				nodes[nodes[z].parent].red = false
+				nodes[gp].red = true
 				t.rotateRight(gp)
 			}
 		} else {
-			u := gp.left
-			if u != nil && u.red {
-				z.parent.red = false
-				u.red = false
-				gp.red = true
+			u := kids[gp][left]
+			if t.red(u) {
+				nodes[zp].red = false
+				nodes[u].red = false
+				nodes[gp].red = true
 				z = gp
 			} else {
-				if z == z.parent.left {
-					z = z.parent
+				if z == kids[zp][left] {
+					z = zp
 					t.rotateRight(z)
 				}
-				z.parent.red = false
-				gp.red = true
+				nodes[nodes[z].parent].red = false
+				nodes[gp].red = true
 				t.rotateLeft(gp)
 			}
 		}
 	}
-	t.root.red = false
+	nodes[t.root].red = false
 }
 
-// erase removes n from the tree and rebalances (CLRS RB-DELETE).
-func (t *tree) erase(n *node) {
+// erase removes node i from the tree and rebalances (CLRS RB-DELETE).
+func (t *tree) erase(i int32) {
 	t.size--
-	var x, xParent *node
-	y := n
-	yRed := y.red
+	nodes, kids := t.nodes, t.kids
+	var x, xParent int32
+	n := &nodes[i]
+	y := i
+	yRed := n.red
 	switch {
-	case n.left == nil:
-		x = n.right
+	case kids[i][left] == nilNode:
+		x = kids[i][right]
 		xParent = n.parent
-		t.transplant(n, n.right)
-	case n.right == nil:
-		x = n.left
+		t.transplant(i, x)
+	case kids[i][right] == nilNode:
+		x = kids[i][left]
 		xParent = n.parent
-		t.transplant(n, n.left)
+		t.transplant(i, x)
 	default:
-		y = n.right
-		for y.left != nil {
-			y = y.left
+		y = kids[i][right]
+		for kids[y][left] != nilNode {
+			y = kids[y][left]
 		}
-		yRed = y.red
-		x = y.right
-		if y.parent == n {
+		yRed = nodes[y].red
+		x = kids[y][right]
+		if nodes[y].parent == i {
 			xParent = y
 		} else {
-			xParent = y.parent
-			t.transplant(y, y.right)
-			y.right = n.right
-			y.right.parent = y
+			xParent = nodes[y].parent
+			t.transplant(y, x)
+			kids[y][right] = kids[i][right]
+			nodes[kids[y][right]].parent = y
 		}
-		t.transplant(n, y)
-		y.left = n.left
-		y.left.parent = y
-		y.red = n.red
+		t.transplant(i, y)
+		kids[y][left] = kids[i][left]
+		nodes[kids[y][left]].parent = y
+		nodes[y].red = n.red
 	}
 	if !yRed {
 		t.fixDelete(x, xParent)
 	}
-	n.left, n.right, n.parent = nil, nil, nil
+	if n.pred != nilNode {
+		nodes[n.pred].succ = n.succ
+	}
+	if n.succ != nilNode {
+		nodes[n.succ].pred = n.pred
+	}
+	kids[i] = [2]int32{}
+	n.parent, n.pred, n.succ = nilNode, nilNode, nilNode
 }
 
-func (t *tree) transplant(u, v *node) {
-	switch {
-	case u.parent == nil:
-		t.root = v
-	case u == u.parent.left:
-		u.parent.left = v
-	default:
-		u.parent.right = v
-	}
-	if v != nil {
-		v.parent = u.parent
+func (t *tree) transplant(u, v int32) {
+	t.replaceChild(u, v)
+	if v != nilNode {
+		t.nodes[v].parent = t.nodes[u].parent
 	}
 }
 
-func (t *tree) fixDelete(x, parent *node) {
-	for x != t.root && (x == nil || !x.red) {
-		if x == parent.left {
-			w := parent.right
-			if w.red {
-				w.red = false
-				parent.red = true
+func (t *tree) fixDelete(x, parent int32) {
+	nodes, kids := t.nodes, t.kids
+	for x != t.root && !t.red(x) {
+		if x == kids[parent][left] {
+			w := kids[parent][right]
+			if nodes[w].red {
+				nodes[w].red = false
+				nodes[parent].red = true
 				t.rotateLeft(parent)
-				w = parent.right
+				w = kids[parent][right]
 			}
-			if (w.left == nil || !w.left.red) && (w.right == nil || !w.right.red) {
-				w.red = true
+			if !t.red(kids[w][left]) && !t.red(kids[w][right]) {
+				nodes[w].red = true
 				x = parent
-				parent = x.parent
+				parent = nodes[x].parent
 			} else {
-				if w.right == nil || !w.right.red {
-					if w.left != nil {
-						w.left.red = false
+				if !t.red(kids[w][right]) {
+					if c := kids[w][left]; c != nilNode {
+						nodes[c].red = false
 					}
-					w.red = true
+					nodes[w].red = true
 					t.rotateRight(w)
-					w = parent.right
+					w = kids[parent][right]
 				}
-				w.red = parent.red
-				parent.red = false
-				if w.right != nil {
-					w.right.red = false
+				nodes[w].red = nodes[parent].red
+				nodes[parent].red = false
+				if c := kids[w][right]; c != nilNode {
+					nodes[c].red = false
 				}
 				t.rotateLeft(parent)
 				x = t.root
-				parent = nil
+				parent = nilNode
 			}
 		} else {
-			w := parent.left
-			if w.red {
-				w.red = false
-				parent.red = true
+			w := kids[parent][left]
+			if nodes[w].red {
+				nodes[w].red = false
+				nodes[parent].red = true
 				t.rotateRight(parent)
-				w = parent.left
+				w = kids[parent][left]
 			}
-			if (w.left == nil || !w.left.red) && (w.right == nil || !w.right.red) {
-				w.red = true
+			if !t.red(kids[w][left]) && !t.red(kids[w][right]) {
+				nodes[w].red = true
 				x = parent
-				parent = x.parent
+				parent = nodes[x].parent
 			} else {
-				if w.left == nil || !w.left.red {
-					if w.right != nil {
-						w.right.red = false
+				if !t.red(kids[w][left]) {
+					if c := kids[w][right]; c != nilNode {
+						nodes[c].red = false
 					}
-					w.red = true
+					nodes[w].red = true
 					t.rotateLeft(w)
-					w = parent.left
+					w = kids[parent][left]
 				}
-				w.red = parent.red
-				parent.red = false
-				if w.left != nil {
-					w.left.red = false
+				nodes[w].red = nodes[parent].red
+				nodes[parent].red = false
+				if c := kids[w][left]; c != nilNode {
+					nodes[c].red = false
 				}
 				t.rotateRight(parent)
 				x = t.root
-				parent = nil
+				parent = nilNode
 			}
 		}
 	}
-	if x != nil {
-		x.red = false
+	if x != nilNode {
+		nodes[x].red = false
 	}
 }
 
-// checkInvariants validates the red-black and ordering invariants, returning
-// the black height or -1 on violation. Used by tests only.
+// checkInvariants validates the red-black, ordering and threading
+// invariants, returning the black height or -1 on violation. Used by tests
+// only.
 func (t *tree) checkInvariants() int {
-	if t.root != nil && t.root.red {
+	if t.red(t.root) {
 		return -1
 	}
-	return blackHeight(t.root, 0, 1<<63)
+	return t.blackHeight(t.root, 0, 1<<63)
 }
 
-func blackHeight(n *node, lo, hi uint64) int {
-	if n == nil {
+func (t *tree) blackHeight(i int32, lo, hi uint64) int {
+	if i == nilNode {
 		return 1
 	}
+	n := &t.nodes[i]
+	l, r := t.kids[i][left], t.kids[i][right]
 	if n.pfnLo < lo || n.pfnHi >= hi || n.pfnLo > n.pfnHi {
 		return -1
 	}
-	if n.red && ((n.left != nil && n.left.red) || (n.right != nil && n.right.red)) {
+	if n.red && (t.red(l) || t.red(r)) {
 		return -1
 	}
-	l := blackHeight(n.left, lo, n.pfnLo)
-	r := blackHeight(n.right, n.pfnHi+1, hi)
-	if l == -1 || r == -1 || l != r {
+	bl := t.blackHeight(l, lo, n.pfnLo)
+	br := t.blackHeight(r, n.pfnHi+1, hi)
+	if bl == -1 || br == -1 || bl != br {
 		return -1
 	}
 	if !n.red {
-		l++
+		bl++
 	}
-	return l
+	return bl
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // insertRange is a test helper adding [lo,hi] to the tree.
-func insertRange(t *tree, lo, hi uint64) *node {
-	n := &node{pfnLo: lo, pfnHi: hi}
+func insertRange(t *tree, lo, hi uint64) int32 {
+	n := t.newNode(lo, hi)
 	t.insert(n)
 	return n
 }
@@ -32,11 +32,11 @@ func TestTreeInsertFindErase(t *testing.T) {
 	if got := tr.find(29); got != n3 {
 		t.Errorf("find(29) = %v", got)
 	}
-	if got := tr.find(40); got != nil {
-		t.Errorf("find(40) = %v, want nil", got)
+	if got := tr.find(40); got != nilNode {
+		t.Errorf("find(40) = %v, want nilNode", got)
 	}
 	tr.erase(n2)
-	if tr.find(35) != nil {
+	if tr.find(35) != nilNode {
 		t.Error("erased range still found")
 	}
 	if tr.checkInvariants() == -1 {
@@ -49,15 +49,15 @@ func TestTreeInsertFindErase(t *testing.T) {
 
 func TestTreeTraversal(t *testing.T) {
 	var tr tree
-	var nodes []*node
+	var nodes []int32
 	for _, lo := range []uint64{50, 10, 30, 70, 20, 60, 40} {
 		nodes = append(nodes, insertRange(&tr, lo, lo+5))
 	}
 	_ = nodes
 	// last, then walk prev to the smallest.
 	var got []uint64
-	for n := tr.last(); n != nil; n = tr.prev(n) {
-		got = append(got, n.pfnLo)
+	for n := tr.last(); n != nilNode; n = tr.prev(n) {
+		got = append(got, tr.n(n).pfnLo)
 	}
 	want := []uint64{70, 60, 50, 40, 30, 20, 10}
 	if len(got) != len(want) {
@@ -71,8 +71,8 @@ func TestTreeTraversal(t *testing.T) {
 	// next from smallest.
 	var fwd []uint64
 	n := tr.find(10)
-	for ; n != nil; n = tr.next(n) {
-		fwd = append(fwd, n.pfnLo)
+	for ; n != nilNode; n = tr.next(n) {
+		fwd = append(fwd, tr.n(n).pfnLo)
 	}
 	for i := range want {
 		if fwd[i] != want[len(want)-1-i] {
@@ -83,11 +83,11 @@ func TestTreeTraversal(t *testing.T) {
 
 func TestTreeEmpty(t *testing.T) {
 	var tr tree
-	if tr.last() != nil {
-		t.Error("last of empty tree != nil")
+	if tr.last() != nilNode {
+		t.Error("last of empty tree != nilNode")
 	}
-	if tr.find(5) != nil {
-		t.Error("find in empty tree != nil")
+	if tr.find(5) != nilNode {
+		t.Error("find in empty tree != nilNode")
 	}
 	if tr.checkInvariants() == -1 {
 		t.Error("empty tree fails invariants")
@@ -113,7 +113,7 @@ func TestTreeRandomizedAgainstReference(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var tr tree
-		ref := map[uint64]*node{} // pfnLo -> node
+		ref := map[uint64]int32{} // pfnLo -> node
 		for op := 0; op < 400; op++ {
 			if rng.Intn(2) == 0 || len(ref) == 0 {
 				lo := uint64(rng.Intn(10000)) * 10
@@ -145,13 +145,24 @@ func TestTreeRandomizedAgainstReference(t *testing.T) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		i := len(keys) - 1
-		for n := tr.last(); n != nil; n = tr.prev(n) {
-			if i < 0 || n.pfnLo != keys[i] {
+		for n := tr.last(); n != nilNode; n = tr.prev(n) {
+			if i < 0 || tr.n(n).pfnLo != keys[i] {
 				return false
 			}
 			i--
 		}
-		return i == -1
+		if i != -1 {
+			return false
+		}
+		// The succ threads must give the same order forwards.
+		if len(keys) > 0 {
+			for n := tr.find(keys[0]); n != nilNode; n = tr.next(n) {
+				if i++; i >= len(keys) || tr.n(n).pfnLo != keys[i] {
+					return false
+				}
+			}
+		}
+		return i == len(keys)-1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

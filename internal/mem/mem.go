@@ -163,8 +163,7 @@ func New(size uint64) (*PhysMem, error) {
 // clearFrame zeroes frame f's bytes unless they are already known zero.
 func (m *PhysMem) clearFrame(f PFN) {
 	if m.dirty[f] {
-		base := uint64(f.PA())
-		clear(m.data[base : base+PageSize])
+		clear(m.frame(f))
 		m.dirty[f] = false
 	}
 }
@@ -178,13 +177,7 @@ func (m *PhysMem) Release() {
 		m.data = nil
 		return
 	}
-	hi := int(m.watermark)
-	if !m.lazy {
-		// A materialized free list hands frames out from the top, so the
-		// whole metadata range may have been touched.
-		hi = m.frames
-	}
-	if hi > m.bk.hi {
+	if hi := m.metaHi(); hi > m.bk.hi {
 		m.bk.hi = hi
 	}
 	p, _ := pools.LoadOrStore(uint64(len(m.data)), &sync.Pool{})

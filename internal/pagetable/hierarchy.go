@@ -2,7 +2,10 @@ package pagetable
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
+	"riommu/internal/cycles"
 	"riommu/internal/mem"
 	"riommu/internal/pci"
 )
@@ -53,6 +56,27 @@ func NewHierarchy(mm *mem.PhysMem) (*Hierarchy, error) {
 		spaces:        make(map[pci.BDF]*Space),
 		frames:        []mem.PFN{root},
 	}, nil
+}
+
+// Clone returns an independent copy of the hierarchy over mm, with every
+// attached space cloned (a space attached to several devices stays shared
+// among them in the copy) and the lookup cache empty.
+func (h *Hierarchy) Clone(mm *mem.PhysMem, rb cycles.Rebind) *Hierarchy {
+	c := &Hierarchy{
+		mm:            mm,
+		root:          h.root,
+		contextTables: maps.Clone(h.contextTables),
+		spaces:        make(map[pci.BDF]*Space, len(h.spaces)),
+		frames:        slices.Clone(h.frames),
+	}
+	cloned := make(map[*Space]*Space, len(h.spaces))
+	for bdf, sp := range h.spaces {
+		if cloned[sp] == nil {
+			cloned[sp] = sp.Clone(mm, rb)
+		}
+		c.spaces[bdf] = cloned[sp]
+	}
+	return c
 }
 
 // Attach binds an address space to a device, creating the bus's context

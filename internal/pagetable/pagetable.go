@@ -15,6 +15,7 @@ package pagetable
 
 import (
 	"fmt"
+	"slices"
 
 	"riommu/internal/cycles"
 	"riommu/internal/mem"
@@ -108,6 +109,15 @@ func NewSpace(mm *mem.PhysMem, clk *cycles.Clock, model *cycles.Model, coherent 
 		root:     root,
 		tables:   []mem.PFN{root},
 	}, nil
+}
+
+// Clone returns an independent copy of the space over mm, charging rb's
+// clocks.
+func (s *Space) Clone(mm *mem.PhysMem, rb cycles.Rebind) *Space {
+	c := *s
+	c.mm, c.clk, c.model = mm, rb.Clock(s.clk), rb.Model
+	c.tables = slices.Clone(s.tables)
+	return &c
 }
 
 // Root returns the physical frame of the top-level table (what a context

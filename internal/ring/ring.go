@@ -84,6 +84,22 @@ func New(mm *mem.PhysMem, size uint32) (*Ring, error) {
 	return r, nil
 }
 
+// Clone returns an independent copy of the ring over mm, with its
+// descriptor view re-taken in mm (a nil mm leaves the copy without a view,
+// for a template that holds no memory).
+func (r *Ring) Clone(mm *mem.PhysMem) (*Ring, error) {
+	c := *r
+	c.mm, c.buf = mm, nil
+	if mm != nil {
+		buf, err := mm.Span(r.basePA, uint64(r.size)*DescBytes)
+		if err != nil {
+			return nil, fmt.Errorf("ring: cloning descriptor array: %w", err)
+		}
+		c.buf = buf
+	}
+	return &c, nil
+}
+
 // idx reduces a cursor or slot number modulo the ring size.
 func (r *Ring) idx(i uint32) uint32 {
 	if r.mask != 0 {

@@ -200,9 +200,10 @@ func BenchmarkEngineReadU64(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignCell times one complete fault-campaign NIC cell — system
-// construction, supervised rounds, teardown — the unit the campaign grid and
-// CI chaos gate scale by.
+// BenchmarkCampaignCell times one complete riommu fault-campaign step — the
+// clean and faulted NIC cells (each cloned from the mode's NIC template),
+// the NVMe and SATA cells, their supervised rounds and teardown — the unit
+// the campaign grid and CI chaos gate scale by.
 func BenchmarkCampaignCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := campaign.Options{
