@@ -110,9 +110,6 @@ func NewIntOracle(mode string, clk *cycles.Clock) *IntOracle {
 	}
 }
 
-// Mode returns the protection-mode label events carry.
-func (o *IntOracle) Mode() string { return o.mode }
-
 // SetPassThrough switches the oracle to counting-only mode.
 func (o *IntOracle) SetPassThrough(v bool) { o.passThrough = v }
 

@@ -160,14 +160,8 @@ func (d *Driver) SetDeferBatch(n int) {
 	}
 }
 
-// Mode returns the driver's protection mode.
-func (d *Driver) Mode() Mode { return d.mode }
-
 // Live returns the number of currently mapped DMA buffers.
 func (d *Driver) Live() int { return d.live }
-
-// Space exposes the device's I/O address space (for tests).
-func (d *Driver) Space() *pagetable.Space { return d.space }
 
 // Allocator exposes the IOVA allocator (for pathology statistics).
 func (d *Driver) Allocator() iova.Allocator { return d.alloc }

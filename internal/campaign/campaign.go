@@ -696,16 +696,13 @@ func finishNIC(sys *sim.System, f *faults.Engine, sup *driver.Supervisor, pkts u
 	return c
 }
 
-// recordSLO copies the supervisor's outage ledger and circuit-breaker
-// counters into the cell.
-func recordSLO(c *CellMetrics, sys *sim.System, sup *driver.Supervisor) {
-	slo := sup.SLO()
+// recordSLO fills the cell's four recovery-SLO columns from an outage
+// ledger read at virtual time now.
+func recordSLO(c *CellMetrics, slo driver.SLOStats, now uint64) {
 	c.Outages = slo.Outages
 	c.DowntimeCycles = slo.DowntimeCycles
 	c.MTTRCycles = slo.MTTRCycles()
-	c.Availability = slo.Availability(sys.CPU.Now())
-	c.BreakerTrips = sup.Breaker.Trips
-	c.Readmissions = sup.Breaker.Readmissions
+	c.Availability = slo.Availability(now)
 }
 
 // nicWorld is a single-queue NIC cell's world as sim.System.AttachNIC
@@ -965,7 +962,8 @@ func (w nicWorld) chaosSoak(scenario chaos.Scenario, rounds int) (CellMetrics, e
 
 	c := finishNIC(sys, f, sup, nic.TxPackets+nic.RxPackets, true)
 	c.Chaos = host.Stats
-	recordSLO(&c, sys, sup)
+	recordSLO(&c, sup.SLO(), sys.CPU.Now())
+	c.BreakerTrips, c.Readmissions = sup.Breaker.Trips, sup.Breaker.Readmissions
 	return c, nil
 }
 
@@ -1054,7 +1052,8 @@ func intchaosCell(mode sim.Mode, scenario chaos.IntScenario, seed uint64, rounds
 	c := finishNIC(sys, f, sup, mqPackets(mq), false)
 	recordIntAudit(&c, sys.IntRemap, iorc)
 	c.Chaos = host.Stats
-	recordSLO(&c, sys, sup)
+	recordSLO(&c, sup.SLO(), sys.CPU.Now())
+	c.BreakerTrips, c.Readmissions = sup.Breaker.Trips, sup.Breaker.Readmissions
 	return c, nil
 }
 
@@ -1073,20 +1072,6 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 
 	c := CellMetrics{}
 
-	// attach brings a fresh device into the slot; when it closes a removal
-	// outage, the width lands in the cell's SLO ledger.
-	attach := func() (*driver.MQNIC, error) {
-		wasRemoved := lc.State() == sim.SurpriseRemoved || lc.State() == sim.Quarantined
-		mq, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
-		if err != nil {
-			return nil, err
-		}
-		if wasRemoved {
-			c.Outages++
-			c.DowntimeCycles += lc.OutageCycles()
-		}
-		return mq, nil
-	}
 	// yank latches fresh completions on every queue, surprise-removes the
 	// device, then has the ghost's reap paths run: anything they deliver is
 	// a ghost delivery the gate fails on.
@@ -1132,7 +1117,7 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 			perPhase = 1
 		}
 		for p := 0; p < phases; p++ {
-			mq, err := attach()
+			mq, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
 			if err != nil {
 				return CellMetrics{}, fmt.Errorf("phase %d attach: %w", p, err)
 			}
@@ -1142,7 +1127,7 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 			}
 		}
 		// Final replug closes the last outage.
-		mq, err := attach()
+		mq, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
 		if err != nil {
 			return CellMetrics{}, fmt.Errorf("final attach: %w", err)
 		}
@@ -1168,14 +1153,14 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 				c.Chaos.Landed++
 			}
 		}
-		mq, err := attach()
+		mq, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
 		if err != nil {
 			return CellMetrics{}, err
 		}
 		supervised(mq, rounds)
 
 	case HotplugSurprise:
-		mq, err := attach()
+		mq, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
 		if err != nil {
 			return CellMetrics{}, err
 		}
@@ -1190,7 +1175,7 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 		for _, drv := range mq.Queues {
 			_, _ = drv.ReapTx()
 		}
-		mq2, err := attach()
+		mq2, err := sys.HotAttachMQNIC(hotplugProfile(), nicBDF, 2, false)
 		if err != nil {
 			return CellMetrics{}, fmt.Errorf("replug from quarantine: %w", err)
 		}
@@ -1205,12 +1190,7 @@ func hotplugCell(mode sim.Mode, scenario string, seed uint64, rounds int) (CellM
 	c.Attaches = lc.Attaches
 	c.Removals = lc.Removals
 	c.Quarantines = lc.Quarantines
-	if c.Outages > 0 {
-		c.MTTRCycles = float64(c.DowntimeCycles) / float64(c.Outages)
-	}
-	if now := sys.CPU.Now(); now > 0 {
-		c.Availability = 1 - float64(c.DowntimeCycles)/float64(now)
-	}
+	recordSLO(&c, lc.SLO(), sys.CPU.Now())
 	recordAudit(&c, sys.Auditor, 0)
 	recordIntAudit(&c, sys.IntRemap, iorc)
 	c.Clock = sys.CPU.Snapshot()

@@ -223,18 +223,14 @@ func tenantCell(mode sim.Mode, scenario chaos.TenantScenario, seed uint64, round
 		c.Readmissions += g.guard.Readmissions
 	}
 	c.BreakerTrips = h0.guard.Breaker.Trips
-	c.HostileAvailability = h0.sup.SLO().Availability(h0.sys.CPU.Now())
+	recordSLO(&c, h0.sup.SLO(), h0.sys.CPU.Now())
+	c.HostileAvailability = c.Availability
 	c.VictimAvailability = 1
 	for _, g := range gs[1:] {
 		if av := g.sup.SLO().Availability(g.sys.CPU.Now()); av < c.VictimAvailability {
 			c.VictimAvailability = av
 		}
 	}
-	slo := h0.sup.SLO()
-	c.Outages = slo.Outages
-	c.DowntimeCycles = slo.DowntimeCycles
-	c.MTTRCycles = slo.MTTRCycles()
-	c.Availability = c.HostileAvailability
 	c.Clock = h0.sys.CPU.Snapshot()
 	return c, nil
 }

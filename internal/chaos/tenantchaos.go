@@ -70,9 +70,6 @@ func NewHostileTenant(eng *dma.Engine, prot driver.Protection, bdf pci.BDF) *Hos
 	return &HostileTenant{eng: eng, prot: prot, bdf: bdf}
 }
 
-// BDF returns the attack device's identity.
-func (h *HostileTenant) BDF() pci.BDF { return h.bdf }
-
 func (h *HostileTenant) scratch(n int) []byte {
 	if cap(h.buf) < n {
 		h.buf = make([]byte, n)

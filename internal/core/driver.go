@@ -63,9 +63,6 @@ func (d *Driver) Device() *Device { return d.dev }
 // SetAudit installs a map/unmap observer (nil disables mirroring).
 func (d *Driver) SetAudit(o dma.MapObserver) { d.aud = o }
 
-// Coherent reports whether this is the riommu (true) or riommu− (false) variant.
-func (d *Driver) Coherent() bool { return d.coherent }
-
 // syncMem implements sync_mem (Figure 11 bottom/right): a memory barrier,
 // plus a cacheline flush and a second barrier when the rIOMMU page walk is
 // not coherent with the CPU caches.

@@ -64,9 +64,6 @@ type Ring struct {
 	nmapped uint32 // SW only: live mappings
 }
 
-// Size returns the number of entries in the flat table.
-func (r *Ring) Size() uint32 { return r.size }
-
 // Mapped returns the number of live mappings (SW bookkeeping).
 func (r *Ring) Mapped() uint32 { return r.nmapped }
 
@@ -79,9 +76,6 @@ type Device struct {
 
 // BDF returns the device's PCI identity.
 func (d *Device) BDF() pci.BDF { return d.bdf }
-
-// Rings returns the number of flat tables the device owns.
-func (d *Device) Rings() int { return len(d.rings) }
 
 // Ring returns ring rid, or nil if out of range.
 func (d *Device) Ring(rid int) *Ring {

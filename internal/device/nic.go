@@ -34,7 +34,6 @@ type NICProfile struct {
 	HeaderBytes      int // size of the header buffer when split
 	RxEntries        uint32
 	TxEntries        uint32
-	MTU              int
 
 	// CostScale scales the per-operation driver/hardware cycle costs for
 	// this setup (cycles.Model.Scaled): the brcm machine (Linux 3.11,
@@ -55,7 +54,6 @@ var ProfileMLX = NICProfile{
 	HeaderBytes:      128,
 	RxEntries:        8192, // the mlx driver keeps ~12K IOVAs live (§5.1)
 	TxEntries:        4096,
-	MTU:              1500,
 	CostScale:        1.0,
 }
 
@@ -67,7 +65,6 @@ var ProfileBRCM = NICProfile{
 	HeaderBytes:      0,
 	RxEntries:        1024, // ~3K IOVAs observed in total (§5.1)
 	TxEntries:        2048,
-	MTU:              1500,
 	CostScale:        0.5,
 }
 

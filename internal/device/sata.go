@@ -69,9 +69,6 @@ func (s *SATA) storageRead(off uint64, n uint32) []byte { return s.store.read(of
 // storageWrite stores src at off, materializing chunks on first touch.
 func (s *SATA) storageWrite(off uint64, src []byte) { s.store.write(off, src) }
 
-// BDF returns the drive's PCI identity.
-func (s *SATA) BDF() pci.BDF { return s.bdf }
-
 // ResetDevice models an AHCI port reset: every issued-but-incomplete command
 // is discarded (the driver resubmits) and an injected hang is cleared.
 func (s *SATA) ResetDevice() {

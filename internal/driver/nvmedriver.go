@@ -77,12 +77,6 @@ func NewNVMeDriver(mm *mem.PhysMem, prot Protection, eng *dma.Engine, bdf pci.BD
 	return d, nil
 }
 
-// Device exposes the SSD model (tests, fault injection).
-func (d *NVMeDriver) Device() *device.NVMe { return d.ssd }
-
-// Queue exposes the queue pair.
-func (d *NVMeDriver) Queue() *device.NVMeQueuePair { return d.q }
-
 // Write submits a write of data (at most one page) at the given block.
 // The buffer is mapped just before submission (Figure 4's discipline).
 func (d *NVMeDriver) Write(block uint64, data []byte) (uint32, error) {

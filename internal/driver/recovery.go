@@ -32,21 +32,6 @@ var (
 	ErrQuarantined = errors.New("driver: device quarantined")
 )
 
-// Recovery action codes, carried in trace EvRecovery records' Dir field.
-const (
-	ActRetry   uint8 = 1 // an operation was retried after a fault
-	ActReset   uint8 = 2 // the device was reinitialized (Recover)
-	ActDegrade uint8 = 3 // protection was degraded to a stricter mode
-	ActProbe   uint8 = 4 // quarantine expired; device tentatively re-admitted
-	ActIsolate uint8 = 5 // circuit breaker quarantined the device
-	ActReject  uint8 = 6 // an operation fast-failed while quarantined
-)
-
-// RecoverySink observes recovery actions; *trace.Trace satisfies it.
-type RecoverySink interface {
-	RecordRecovery(action uint8, bdf pci.BDF)
-}
-
 // RecoveryStats aggregates a Supervisor's fault-handling activity.
 type RecoveryStats struct {
 	Retries       uint64 // individual retry attempts
@@ -61,9 +46,8 @@ type RecoveryStats struct {
 // an outage runs from the first failed Do to the next successful one, so
 // MTTR and availability are pure functions of the seed.
 type SLOStats struct {
-	Outages             uint64
-	DowntimeCycles      uint64
-	LongestOutageCycles uint64
+	Outages        uint64
+	DowntimeCycles uint64
 }
 
 // MTTRCycles is the mean time (virtual cycles) to recover from an outage.
@@ -173,10 +157,6 @@ type Supervisor struct {
 	DegradeCycles uint64
 	degraded      bool
 
-	// Sink, when non-nil, records every recovery action (typically
-	// *trace.Trace).
-	Sink RecoverySink
-
 	// Breaker, when non-nil, circuit-breaks the device: repeated failures
 	// quarantine it (operations fast-fail with ErrQuarantined) until a
 	// virtual-clock backoff expires and a probe re-admits it. Isolator is
@@ -220,16 +200,9 @@ func NewSupervisor(clk *cycles.Clock, bdf pci.BDF, target Recoverable) *Supervis
 // Degraded reports whether DegradeFn has run.
 func (s *Supervisor) Degraded() bool { return s.degraded }
 
-func (s *Supervisor) record(action uint8) {
-	if s.Sink != nil {
-		s.Sink.RecordRecovery(action, s.bdf)
-	}
-}
-
 // reinit performs one charged device recovery and the degradation check.
 func (s *Supervisor) reinit() error {
 	s.clk.Charge(cycles.Recovery, s.ResetCycles)
-	s.record(ActReset)
 	if err := s.target.Recover(); err != nil {
 		return err
 	}
@@ -237,7 +210,6 @@ func (s *Supervisor) reinit() error {
 	s.Watchdog.Reset()
 	if !s.degraded && s.DegradeFn != nil && s.Stats.Recoveries >= s.DegradeAfter {
 		s.clk.Charge(cycles.Recovery, s.DegradeCycles)
-		s.record(ActDegrade)
 		if err := s.DegradeFn(); err != nil {
 			return fmt.Errorf("%w: %w", ErrDegraded, err)
 		}
@@ -266,7 +238,6 @@ func (s *Supervisor) attempt(op func() error) error {
 				backoff = max
 			}
 			s.Stats.Retries++
-			s.record(ActRetry)
 			if rerr := s.reinit(); rerr != nil {
 				return fmt.Errorf("driver: recovery failed: %w (after %v)", rerr, err)
 			}
@@ -294,7 +265,6 @@ func (s *Supervisor) Do(op func() error) error {
 		if !ok {
 			s.clk.Charge(cycles.Recovery, s.Guard.Breaker.RejectCycles)
 			s.Stats.Rejected++
-			s.record(ActReject)
 			s.noteOutcome(true)
 			return fmt.Errorf("%w: tenant %d: %s", ErrQuarantined, s.Guard.Tenant, s.bdf)
 		}
@@ -304,7 +274,6 @@ func (s *Supervisor) Do(op func() error) error {
 		if !s.Breaker.Allow(s.clk.Now()) {
 			s.clk.Charge(cycles.Recovery, s.Breaker.RejectCycles)
 			s.Stats.Rejected++
-			s.record(ActReject)
 			s.noteOutcome(true)
 			return fmt.Errorf("%w: %s", ErrQuarantined, s.bdf)
 		}
@@ -313,7 +282,6 @@ func (s *Supervisor) Do(op func() error) error {
 			// Physically re-admit the device first so the probe exercises
 			// the real DMA path rather than the blackhole.
 			s.clk.Charge(cycles.Recovery, s.ReadmitCycles)
-			s.record(ActProbe)
 			if s.Isolator != nil {
 				if err := s.Isolator.Readmit(); err != nil {
 					s.noteOutcome(true)
@@ -349,7 +317,6 @@ func (s *Supervisor) Do(op func() error) error {
 
 func (s *Supervisor) isolate() error {
 	s.clk.Charge(cycles.Recovery, s.IsolateCycles)
-	s.record(ActIsolate)
 	if s.Isolator == nil {
 		return nil
 	}
@@ -370,12 +337,8 @@ func (s *Supervisor) noteOutcome(failed bool) {
 		return
 	}
 	if s.down {
-		d := now - s.downSince
 		s.slo.Outages++
-		s.slo.DowntimeCycles += d
-		if d > s.slo.LongestOutageCycles {
-			s.slo.LongestOutageCycles = d
-		}
+		s.slo.DowntimeCycles += now - s.downSince
 		s.down = false
 	}
 }
@@ -385,12 +348,8 @@ func (s *Supervisor) noteOutcome(failed bool) {
 func (s *Supervisor) SLO() SLOStats {
 	out := s.slo
 	if s.down {
-		d := s.clk.Now() - s.downSince
 		out.Outages++
-		out.DowntimeCycles += d
-		if d > out.LongestOutageCycles {
-			out.LongestOutageCycles = d
-		}
+		out.DowntimeCycles += s.clk.Now() - s.downSince
 	}
 	return out
 }

@@ -140,16 +140,10 @@ func TestSupervisorDegradesAfterThreshold(t *testing.T) {
 	}
 }
 
-type recSink struct{ actions []uint8 }
-
-func (r *recSink) RecordRecovery(a uint8, _ pci.BDF) { r.actions = append(r.actions, a) }
-
 func TestSupervisorRecordsActions(t *testing.T) {
 	clk := &cycles.Clock{}
 	fd := &fakeDriver{}
 	s := NewSupervisor(clk, supBDF, fd)
-	sink := &recSink{}
-	s.Sink = sink
 	fails := 1
 	if err := s.Do(func() error {
 		if fails > 0 {
@@ -160,7 +154,7 @@ func TestSupervisorRecordsActions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.actions) != 2 || sink.actions[0] != ActRetry || sink.actions[1] != ActReset {
-		t.Errorf("recorded actions %v, want [retry reset]", sink.actions)
+	if s.Stats.Retries != 1 || s.Stats.Recoveries != 1 {
+		t.Errorf("stats %+v, want one retry and one recovery", s.Stats)
 	}
 }

@@ -131,12 +131,6 @@ type Injection struct {
 	Addr  uint64
 }
 
-// Sink receives a notification for every injected fault; package trace's
-// Trace satisfies it, surfacing injections in recorded DMA traces.
-type Sink interface {
-	RecordFault(class uint8, bdf pci.BDF, addr uint64)
-}
-
 // Engine is the seedable fault injector shared by all simulated layers. It
 // is not safe for concurrent use (the simulator is single-threaded), and all
 // methods accept a nil receiver.
@@ -147,9 +141,6 @@ type Engine struct {
 	counts [NumClasses]uint64
 	sched  []Injection
 	hung   map[pci.BDF]bool
-
-	// Sink, when non-nil, observes every injection (typically *trace.Trace).
-	Sink Sink
 }
 
 // New creates an engine with the given configuration.
@@ -159,14 +150,6 @@ func New(cfg Config) *Engine {
 
 // Enabled reports whether injection is active.
 func (e *Engine) Enabled() bool { return e != nil }
-
-// Config returns the engine's configuration (zero value for a nil engine).
-func (e *Engine) Config() Config {
-	if e == nil {
-		return Config{}
-	}
-	return e.cfg
-}
 
 // SetRate changes one class's injection rate mid-run (tests use this to open
 // and close fault windows deterministically).
@@ -243,9 +226,6 @@ func (e *Engine) roll(c Class, bdf pci.BDF, addr uint64) bool {
 	}
 	e.counts[c]++
 	e.sched = append(e.sched, Injection{Seq: e.seq, Class: c, BDF: bdf, Addr: addr})
-	if e.Sink != nil {
-		e.Sink.RecordFault(uint8(c), bdf, addr)
-	}
 	return true
 }
 

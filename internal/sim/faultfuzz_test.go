@@ -17,7 +17,6 @@ var fuzzProfile = device.NICProfile{
 	BuffersPerPacket: 1,
 	RxEntries:        64,
 	TxEntries:        64,
-	MTU:              1500,
 	CostScale:        1.0,
 }
 

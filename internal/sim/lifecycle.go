@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"riommu/internal/baseline"
@@ -10,10 +9,6 @@ import (
 	"riommu/internal/driver"
 	"riommu/internal/pci"
 )
-
-// ErrReadmitBackoff: a quarantined slot's re-admission backoff has not yet
-// expired; BeginAttach must be retried after the slot's ReadmitAt time.
-var ErrReadmitBackoff = errors.New("sim: quarantined slot in re-admission backoff")
 
 // DevState is a device's position in the hot-plug lifecycle.
 type DevState int
@@ -58,27 +53,17 @@ type Lifecycle struct {
 	state DevState
 	iso   driver.Isolator // lazily built; isolates the slot's DMA route
 
-	// ReadmitBackoffCycles arms an exponential virtual-clock backoff on
-	// quarantine: the first re-admission may begin ReadmitBackoffCycles
-	// after the quarantine, and each further quarantine of the slot doubles
-	// the wait, saturating at MaxReadmitBackoffCycles (0 = unbounded).
-	// The zero value keeps the legacy behavior: immediate re-admission.
-	ReadmitBackoffCycles    uint64
-	MaxReadmitBackoffCycles uint64
-	curBackoff              uint64
-	readmitAt               uint64
-
-	// Counters and timeline marks for the campaign's SLO accounting.
+	// Transition counters for the campaign.
 	Attaches    uint64
 	Removals    uint64
 	Quarantines uint64
-	RemovedAt   uint64 // CPU cycle of the most recent surprise removal
-	RestoredAt  uint64 // CPU cycle of the most recent return to Live after one
 
-	// Cumulative outage ledger: every removal→restore interval, summed, so
-	// MTTR and availability survive multiple removals of one slot.
-	Outages        uint64
-	DowntimeCycles uint64
+	// slo sums every completed removal→restore interval, so MTTR and
+	// availability survive multiple removals of one slot; down marks a
+	// removal not yet restored, made at removedAt.
+	slo       driver.SLOStats
+	down      bool
+	removedAt uint64
 }
 
 // LifecycleFor returns (creating on first use) the lifecycle tracker for a
@@ -98,9 +83,6 @@ func (s *System) LifecycleFor(bdf pci.BDF) *Lifecycle {
 // State returns the current lifecycle state.
 func (lc *Lifecycle) State() DevState { return lc.state }
 
-// BDF returns the slot identity.
-func (lc *Lifecycle) BDF() pci.BDF { return lc.bdf }
-
 func (lc *Lifecycle) badTransition(to DevState) error {
 	return fmt.Errorf("sim: %s lifecycle %s → %s not permitted", lc.bdf, lc.state, to)
 }
@@ -111,12 +93,7 @@ func (lc *Lifecycle) badTransition(to DevState) error {
 // finishes with CompleteAttach.
 func (lc *Lifecycle) BeginAttach() error {
 	switch lc.state {
-	case Detached, SurpriseRemoved:
-	case Quarantined:
-		if now := lc.sys.CPU.Now(); now < lc.readmitAt {
-			return fmt.Errorf("%w: %s until cycle %d (now %d)",
-				ErrReadmitBackoff, lc.bdf, lc.readmitAt, now)
-		}
+	case Detached, SurpriseRemoved, Quarantined:
 	default:
 		return lc.badTransition(Attaching)
 	}
@@ -136,13 +113,12 @@ func (lc *Lifecycle) CompleteAttach() error {
 			return err
 		}
 	}
-	wasRemoved := lc.RemovedAt != 0 && lc.RestoredAt < lc.RemovedAt
 	lc.state = Live
 	lc.Attaches++
-	if wasRemoved {
-		lc.RestoredAt = lc.sys.CPU.Now()
-		lc.Outages++
-		lc.DowntimeCycles += lc.RestoredAt - lc.RemovedAt
+	if lc.down {
+		lc.slo.Outages++
+		lc.slo.DowntimeCycles += lc.sys.CPU.Now() - lc.removedAt
+		lc.down = false
 	}
 	return nil
 }
@@ -176,7 +152,7 @@ func (lc *Lifecycle) SurpriseRemove() error {
 	s.CPU.Charge(cycles.Recovery, s.Model.HotDetach)
 	lc.state = SurpriseRemoved
 	lc.Removals++
-	lc.RemovedAt = s.CPU.Now()
+	lc.down, lc.removedAt = true, s.CPU.Now()
 	return nil
 }
 
@@ -188,57 +164,19 @@ func (lc *Lifecycle) Quarantine() error {
 	}
 	lc.state = Quarantined
 	lc.Quarantines++
-	if lc.ReadmitBackoffCycles > 0 {
-		if lc.curBackoff == 0 {
-			lc.curBackoff = lc.ReadmitBackoffCycles
-		} else {
-			lc.curBackoff *= 2
-			if m := lc.MaxReadmitBackoffCycles; m > 0 && lc.curBackoff > m {
-				lc.curBackoff = m
-			}
-		}
-		lc.readmitAt = lc.sys.CPU.Now() + lc.curBackoff
-	}
 	return nil
 }
 
-// ReadmitAt returns the virtual time at which a quarantined slot becomes
-// eligible for re-admission (0 when no backoff is armed).
-func (lc *Lifecycle) ReadmitAt() uint64 { return lc.readmitAt }
-
-// OutageCycles returns the width of the most recent removal outage, or 0 if
-// the slot never recovered (the MTTR numerator for hot-plug cells).
-func (lc *Lifecycle) OutageCycles() uint64 {
-	if lc.RemovedAt == 0 || lc.RestoredAt < lc.RemovedAt {
-		return 0
+// SLO returns the slot's outage ledger, an outage running from a surprise
+// removal to the attach that returns the slot to Live; a removal not yet
+// restored is counted up to the current virtual time.
+func (lc *Lifecycle) SLO() driver.SLOStats {
+	out := lc.slo
+	if lc.down {
+		out.Outages++
+		out.DowntimeCycles += lc.sys.CPU.Now() - lc.removedAt
 	}
-	return lc.RestoredAt - lc.RemovedAt
-}
-
-// MTTRCycles is the slot's mean time to recover across every completed
-// removal→restore interval (0 when the slot never recovered).
-func (lc *Lifecycle) MTTRCycles() float64 {
-	if lc.Outages == 0 {
-		return 0
-	}
-	return float64(lc.DowntimeCycles) / float64(lc.Outages)
-}
-
-// Availability is the slot's uptime fraction over totalCycles of elapsed
-// virtual time, counting an unrecovered removal up to now.
-func (lc *Lifecycle) Availability(totalCycles uint64) float64 {
-	if totalCycles == 0 {
-		return 1
-	}
-	down := lc.DowntimeCycles
-	if lc.RemovedAt != 0 && lc.RestoredAt < lc.RemovedAt {
-		down += lc.sys.CPU.Now() - lc.RemovedAt
-	}
-	av := 1 - float64(down)/float64(totalCycles)
-	if av < 0 {
-		return 0
-	}
-	return av
+	return out
 }
 
 // DetachProtection tears down the per-device translation structures so the

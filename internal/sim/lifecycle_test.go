@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"riommu/internal/audit"
+	"riommu/internal/cycles"
 	"riommu/internal/device"
 	"riommu/internal/intremap"
 )
@@ -68,6 +69,62 @@ func TestLifecycleTransitionGuards(t *testing.T) {
 // TestSurpriseRemovalSilencesDevice runs the full story in every mode with
 // a table: attach, traffic, surprise removal mid-flight, then proof that
 // the ghost neither DMAs nor delivers interrupts, then replug and recovery.
+// TestLifecycleOutageLedger: the slot's outage ledger must survive multiple
+// removals, MTTR and availability must be pure functions of the recorded
+// intervals, and a removal not yet restored counts as one more outage
+// running up to now.
+func TestLifecycleOutageLedger(t *testing.T) {
+	sys, err := NewSystem(Strict, 1<<13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	lc := sys.LifecycleFor(bdf)
+
+	var wantDown uint64
+	for i, gap := range []uint64{40_000, 90_000} {
+		if err := lc.SurpriseRemove(); err != nil {
+			t.Fatal(err)
+		}
+		removed := sys.CPU.Now()
+		sys.CPU.Charge(cycles.Recovery, gap)
+		if _, err := sys.HotAttachMQNIC(smallMQProfile(), bdf, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		wantDown += sys.CPU.Now() - removed
+		if got := lc.SLO().Outages; got != uint64(i+1) {
+			t.Fatalf("after removal %d: Outages = %d", i+1, got)
+		}
+	}
+	slo := lc.SLO()
+	if slo.DowntimeCycles != wantDown {
+		t.Fatalf("DowntimeCycles = %d, want %d", slo.DowntimeCycles, wantDown)
+	}
+	if got, want := slo.MTTRCycles(), float64(wantDown)/2; got != want {
+		t.Fatalf("MTTR = %v, want %v", got, want)
+	}
+	total := sys.CPU.Now()
+	if got, want := slo.Availability(total), 1-float64(wantDown)/float64(total); got != want {
+		t.Fatalf("Availability = %v, want %v", got, want)
+	}
+
+	if err := lc.SurpriseRemove(); err != nil {
+		t.Fatal(err)
+	}
+	sys.CPU.Charge(cycles.Recovery, 30_000)
+	open := wantDown + 30_000
+	slo = lc.SLO()
+	if slo.Outages != 3 || slo.DowntimeCycles != open {
+		t.Fatalf("open removal: Outages = %d, DowntimeCycles = %d, want 3 and %d", slo.Outages, slo.DowntimeCycles, open)
+	}
+	if got, want := slo.Availability(sys.CPU.Now()), 1-float64(open)/float64(sys.CPU.Now()); got != want {
+		t.Fatalf("open-outage Availability = %v, want %v", got, want)
+	}
+}
+
 func TestSurpriseRemovalSilencesDevice(t *testing.T) {
 	for _, mode := range allNine() {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -136,8 +193,8 @@ func TestSurpriseRemovalSilencesDevice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("replug: %v", err)
 			}
-			if lc.State() != Live || lc.OutageCycles() == 0 {
-				t.Fatalf("after replug: state=%s outage=%d", lc.State(), lc.OutageCycles())
+			if lc.State() != Live || lc.SLO().DowntimeCycles == 0 {
+				t.Fatalf("after replug: state=%s downtime=%d", lc.State(), lc.SLO().DowntimeCycles)
 			}
 			for i := 0; i < 4; i++ {
 				if err := mq2.Send(payload); err != nil {

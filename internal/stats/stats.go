@@ -183,17 +183,6 @@ func (c *Counters) Add(name string, n uint64) {
 	c.values[name] += n
 }
 
-// Get returns the counter's value (0 for unknown names).
-func (c *Counters) Get(name string) uint64 {
-	if c.values == nil {
-		return 0
-	}
-	return c.values[name]
-}
-
-// Names returns the counter names in first-added order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
-
 // Table renders the counters as a two-column table.
 func (c *Counters) Table(title string) *Table {
 	t := NewTable(title, "counter", "value")

@@ -178,6 +178,3 @@ func (d *Domain) DrainInvalidations() {
 
 // PendingInvalidations returns the lazy queue's depth.
 func (d *Domain) PendingInvalidations() int { return len(d.invq.pending) }
-
-// TLBStats returns the stage-2 TLB counters.
-func (d *Domain) TLBStats() iotlb.Stats { return d.tlb.Stats() }

@@ -26,6 +26,11 @@ func FuzzReadBinary(f *testing.F) {
 		if tr.Len() != len(data)/recBytes {
 			t.Fatalf("parsed %d events from %d bytes", tr.Len(), len(data))
 		}
+		for i, e := range tr.Events {
+			if e.Kind > EvUnmap {
+				t.Fatalf("event %d has unknown kind %d", i, e.Kind)
+			}
+		}
 		var out bytes.Buffer
 		if err := tr.WriteBinary(&out); err != nil {
 			t.Fatal(err)

@@ -27,12 +27,6 @@ const (
 	EvMap
 	// EvUnmap is an OS unmap (invalidation) of an IOVA page.
 	EvUnmap
-	// EvFault is an injected fault; the fault class rides in the Dir field
-	// (the record layout has no spare byte) and Page holds the fault address.
-	EvFault
-	// EvRecovery is a driver recovery action; the action code rides in the
-	// Dir field.
-	EvRecovery
 )
 
 func (k EventKind) String() string {
@@ -43,10 +37,6 @@ func (k EventKind) String() string {
 		return "map"
 	case EvUnmap:
 		return "unmap"
-	case EvFault:
-		return "fault"
-	case EvRecovery:
-		return "recovery"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -70,20 +60,6 @@ type Trace struct {
 // Record appends an event.
 func (t *Trace) Record(kind EventKind, bdf pci.BDF, iova uint64, dir pci.Dir) {
 	t.Events = append(t.Events, Event{Kind: kind, BDF: bdf, Page: iova >> mem.PageShift, Dir: dir})
-}
-
-// RecordFault satisfies the fault engine's Sink interface: injections appear
-// inline in the trace, interleaved with the DMAs they perturb. The class is
-// carried in the Dir field and the raw fault address in Page (not shifted:
-// fault addresses — descriptor slots, cachelines — are finer than pages).
-func (t *Trace) RecordFault(class uint8, bdf pci.BDF, addr uint64) {
-	t.Events = append(t.Events, Event{Kind: EvFault, BDF: bdf, Page: addr, Dir: pci.Dir(class)})
-}
-
-// RecordRecovery logs a driver recovery action (retry, reset, degrade…); the
-// action code is carried in the Dir field.
-func (t *Trace) RecordRecovery(action uint8, bdf pci.BDF) {
-	t.Events = append(t.Events, Event{Kind: EvRecovery, BDF: bdf, Dir: pci.Dir(action)})
 }
 
 // Len returns the number of events.
@@ -132,6 +108,9 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: short record: %w", err)
 		}
+		if err := checkKind(len(t.Events), EventKind(rec[0])); err != nil {
+			return nil, err
+		}
 		t.Events = append(t.Events, Event{
 			Kind: EventKind(rec[0]),
 			BDF:  pci.BDF(binary.LittleEndian.Uint16(rec[1:])),
@@ -166,8 +145,20 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: bad JSON record: %w", err)
 		}
+		if err := checkKind(len(t.Events), e.Kind); err != nil {
+			return nil, err
+		}
 		t.Events = append(t.Events, e)
 	}
+}
+
+// checkKind rejects an event kind this package does not define, naming the
+// record by its zero-based index in the stream.
+func checkKind(record int, k EventKind) error {
+	if k > EvUnmap {
+		return fmt.Errorf("trace: record %d: unknown event kind %d", record, uint8(k))
+	}
+	return nil
 }
 
 // Recorder wraps a Translator, logging every translation into a Trace. It

@@ -72,6 +72,21 @@ func TestBinaryTruncated(t *testing.T) {
 	}
 }
 
+func TestUnknownKindRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sample().WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[recBytes] = 3 // the second record, once the retired fault kind
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Errorf("binary kind 3: err = %v, want an error naming record 1", err)
+	}
+	if _, err := ReadJSON(strings.NewReader(`{"kind":0}` + "\n" + `{"kind":4}`)); err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Errorf("JSON kind 4: err = %v, want an error naming record 1", err)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	tr := sample()
 	var buf bytes.Buffer
